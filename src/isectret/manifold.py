@@ -37,6 +37,7 @@ __all__ = [
     "project_binary",
     "row_normals",
     "project_tangent",
+    "schur_solve",
     "linearized_project",
     "angle_cosine",
     "point_scale",
@@ -50,8 +51,7 @@ FEASIBILITY_TOL = 1e-6
 # sphere projection / linearization
 _DEGENERATE_TOL = 1e-14
 
-# dense KKT solve for the tangent projection up to this many binary rows
-_DENSE_KKT_MAX_S = 64
+_SCHUR_PATHS = ("auto", "direct", "smw")
 
 
 @dataclass(frozen=True)
@@ -223,19 +223,46 @@ def _embed_binary(M: IntersectionManifold, mu: np.ndarray, C: np.ndarray) -> np.
     return out
 
 
+def schur_solve(d, C, U, rhs, path="auto"):
+    """Solve (Diag(d) - (C C^T) o (U U^T)) x = rhs for C of shape (s, r) and
+    U of shape (s, m).
+
+    The matrix equals Diag(d) - W W^T, where row i of W is the outer product
+    of C[i] and U[i] (the row-wise Khatri-Rao product). The "direct" path
+    forms the s x s matrix; the "smw" path applies the Woodbury identity,
+    x = rhs/d + Wd (I - W^T Wd)^{-1} Wd^T rhs with Wd = Diag(d)^{-1} W, and
+    factors only an (m r) x (m r) core. "auto" takes smw when s > 4 m r, the
+    crossover of the s^3 direct cost against the (m r)^3 Woodbury cost.
+
+    A singular system raises numpy.linalg.LinAlgError; callers turn it into
+    their own typed error.
+    """
+    s, r = C.shape
+    m = U.shape[1]
+    if path == "auto":
+        path = "smw" if s > 4 * m * r else "direct"
+    if path == "direct":
+        return np.linalg.solve(np.diag(d) - (C @ C.T) * (U @ U.T), rhs)
+    if path != "smw":
+        raise ValueError(f"schur path must be one of {_SCHUR_PATHS}, got {path!r}")
+    W = np.hstack([C[:, j : j + 1] * U for j in range(r)])
+    Wd = W / d[:, None]
+    core = np.eye(m * r) - W.T @ Wd
+    return rhs / d + Wd @ np.linalg.solve(core, Wd.T @ rhs)
+
+
 def project_tangent(
     M: IntersectionManifold,
     R: np.ndarray,
     v: np.ndarray,
-    force_path: str | None = None,
     base_tol: float | None = None,
 ) -> TangentVector:
     """Orthogonal projection of v onto {xi : A xi = 0, <c_i, xi_i> = 0 for i in B}.
 
-    Solves the KKT system in the multipliers (Lambda, mu). Small instances
-    (s <= 64) assemble it densely; larger ones eliminate Lambda first and
-    solve the s x s Schur complement, switching to the Woodbury identity when
-    s dominates m*r.
+    Solves the KKT system in the multipliers (Lambda, mu): Lambda is
+    eliminated through the cached Gram factor, which leaves the s x s Schur
+    complement Diag(||c_i||^2) - (C C^T) o (A_B^T (A A^T)^{-1} A_B) in mu,
+    solved by schur_solve.
 
     base_tol widens the feasibility guard on R (relative, default
     FEASIBILITY_TOL): inexact outer loops legitimately anchor at points
@@ -251,48 +278,17 @@ def project_tangent(
             f"exceeds {allow:.0e} * scale"
         )
     A = M.affine.A
-    m, r, s = M.dims.m_rows, M.dims.r, M.dims.s
+    AB = A[:, M.binary_rows]
     C = row_normals(M, R)
     Av = A @ v
     gv = np.einsum("ij,ij->i", C, v[M.binary_rows])
     d2 = np.einsum("ij,ij->i", C, C)
-
-    path = force_path or ("dense" if s <= _DENSE_KKT_MAX_S else "schur")
+    q = np.einsum("ij,ij->i", AB.T @ M.affine.gram_solve(Av), C)
     try:
-        if path == "dense":
-            G = A @ A.T
-            K = np.zeros((m * r + s, m * r + s))
-            K[: m * r, : m * r] = np.kron(G, np.eye(r))
-            P = np.empty((m * r, s))
-            for k, i in enumerate(M.binary_rows):
-                P[:, k] = np.outer(A[:, i], C[k]).ravel()
-            K[: m * r, m * r :] = P
-            K[m * r :, : m * r] = P.T
-            K[m * r :, m * r :] = np.diag(d2)
-            rhs = np.concatenate([Av.ravel(), gv])
-            sol = np.linalg.solve(K, rhs)
-            Lam = sol[: m * r].reshape(m, r)
-            mu = sol[m * r :]
-        elif path == "schur":
-            U = M.affine.low_rank_factor
-            q = np.einsum("ij,ij->i", A[:, M.binary_rows].T @ M.affine.gram_solve(Av), C)
-            rhs = gv - q
-            if s > 4 * m * r:
-                # K = D2 - W W^T with W the row-scaled copies of U
-                W = np.hstack([C[:, j : j + 1] * U for j in range(r)])
-                Wd = W / d2[:, None]
-                small = np.eye(m * r) - W.T @ Wd
-                mu = rhs / d2 + Wd @ np.linalg.solve(small, Wd.T @ rhs)
-            else:
-                S = U @ U.T
-                K = np.diag(d2) - (C @ C.T) * S
-                mu = np.linalg.solve(K, rhs)
-            Lam = M.affine.gram_solve(Av - A[:, M.binary_rows] @ (mu[:, None] * C))
-        else:
-            raise ValueError(f"unknown tangent solve path {force_path!r}")
+        mu = schur_solve(d2, C, M.affine.low_rank_factor, gv - q)
     except np.linalg.LinAlgError as e:
         raise TangentSolveSingular(f"tangent KKT solve failed: {e}") from e
-
+    Lam = M.affine.gram_solve(Av - AB @ (mu[:, None] * C))
     xi = v - A.T @ Lam - _embed_binary(M, mu, C)
     return TangentVector(xi=xi, base=R)
 

@@ -61,8 +61,6 @@ __all__ = [
     "retract_tol",
 ]
 
-_SCHUR_PATHS = ("auto", "direct", "smw")
-
 # weight floor for the dual iteration; keeps A Diag(v) A^T bounded
 _GWA_WEIGHT_FLOOR = 1e-12
 
@@ -123,8 +121,8 @@ class RetractionConfig:
             raise ValueError("tol must be >= 1e-15")
         if self.maxiter != int(self.maxiter) or self.maxiter < 1:
             raise ValueError("maxiter must be a positive integer")
-        if self.schur_path not in _SCHUR_PATHS:
-            raise ValueError(f"schur_path must be one of {_SCHUR_PATHS}")
+        if self.schur_path not in mf._SCHUR_PATHS:
+            raise ValueError(f"schur_path must be one of {mf._SCHUR_PATHS}")
         if self.tapr is not None and not isinstance(self.tapr, TaprParams):
             raise ValueError("tapr must be a TaprParams instance")
 
@@ -177,46 +175,18 @@ def iap_step(M, R):
     return mf.project_affine(M, mf.linearized_project(M, R))
 
 
-def _check_path(schur_path):
-    if schur_path not in _SCHUR_PATHS:
-        raise ValueError(f"schur_path must be one of {_SCHUR_PATHS}")
-
-
-def _resolve_path(M, schur_path):
-    if schur_path != "auto":
-        return schur_path
-    # crossover of the s^3 direct cost against the (m r)^3 Woodbury cost
-    return "smw" if M.dims.s > 4 * M.dims.m_rows * M.dims.r else "direct"
-
-
 def _slice_solve(M, C, rhs, schur_path):
-    """Solve (I_s - (C C^T) o S) mu = rhs with S = A_B^T (A A^T)^{-1} A_B.
-
-    The direct path forms the s x s system; the smw path uses
-    mu = rhs + W (I - W^T W)^{-1} W^T rhs with W = [Diag(C[:,j]) U]_j,
-    which only factors an (m r) x (m r) matrix.
-    """
-    U = M.affine.low_rank_factor  # s x m, S = U U^T
-    path = _resolve_path(M, schur_path)
-    if path == "direct":
-        K = np.eye(C.shape[0]) - (C @ C.T) * (U @ U.T)
-        try:
-            return np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSchur(f"slice system singular: {exc}") from exc
-    W = np.hstack([C[:, j : j + 1] * U for j in range(C.shape[1])])
-    small = np.eye(W.shape[1]) - W.T @ W
+    """Solve (I_s - (C C^T) o S) mu = rhs with S = A_B^T (A A^T)^{-1} A_B = U U^T,
+    U the cached low-rank factor, through mf.schur_solve with unit diagonal."""
     try:
-        inner = np.linalg.solve(small, W.T @ rhs)
+        return mf.schur_solve(np.ones(C.shape[0]), C, M.affine.low_rank_factor, rhs, schur_path)
     except np.linalg.LinAlgError as exc:
-        raise SingularSchur(f"woodbury core singular: {exc}") from exc
-    return rhs + W @ inner
+        raise SingularSchur(f"slice system singular: {exc}") from exc
 
 
 def newton_slra_step(M, R, schur_path="auto"):
     """Project R onto M1 intersected with the tangent slice of M2 at
     project_binary(R). Quadratically convergent near the intersection."""
-    _check_path(schur_path)
     R = np.asarray(R, dtype=float)
     scale = np.linalg.norm(R) + 1.0
     if np.linalg.norm(mf.affine_residual(M, R)) > 1e-8 * scale:
@@ -259,7 +229,6 @@ def aphl_step(M, R, schur_path="auto"):
     """Cancel the affine residual by a correction that is tangent to every
     row sphere, then re-project onto M2. Iterates stay on M2; the affine
     residual decays quadratically near the intersection."""
-    _check_path(schur_path)
     R = np.asarray(R, dtype=float)
     A = M.affine.A
     B = M.binary_rows
@@ -309,46 +278,38 @@ def gwa_iterate(M, Vprime, gamma, Theta):
 
 def gwa_newton_iterate(M, Vprime, gamma, Theta, schur_path="auto"):
     """Newton update for the dual objective. The Hessian is the weighted
-    Gram minus a rank-s correction along the normalized binary rows."""
-    _check_path(schur_path)
+    Gram M0 = A Diag(v) A^T (times I_r) minus a rank-s correction along the
+    normalized binary rows Yhat. Woodbury reduces the Newton system to an
+    s x s one, which scaling by sqrt(v_B) makes symmetric:
+    I - (C C^T) o (U U^T) with C = sqrt(v_B) Yhat and U = (L0^{-1} A_B)^T,
+    L0 the Cholesky factor of M0. schur_path goes to mf.schur_solve: "direct"
+    forms that s x s matrix, "smw" factors an (m r) x (m r) Woodbury core
+    instead, "auto" picks by size."""
     A = M.affine.A
     B = M.binary_rows
-    m, r, s = M.dims.m_rows, M.dims.r, M.dims.s
     Y = Vprime + A.T @ Theta
     nb = np.linalg.norm(Y[B], axis=1)
     if np.min(nb) < _GWA_WEIGHT_FLOOR:
         raise ValueError("a binary row of Y vanished; Newton system undefined")
     v = np.full(M.dims.N, 2.0)
     v[B] = 1.0 / nb
-    Yhat = Y[B] / nb[:, None]
     grad = A @ (v[:, None] * Y)
     grad[:, 0] += gamma
     M0 = A @ (v[:, None] * A.T)
-    AB = A[:, B]
-    vB = v[B]
-    path = _resolve_path(M, schur_path)
-    if path == "direct":
-        H = np.kron(M0, np.eye(r))
-        for k in range(s):
-            H -= vB[k] * np.kron(np.outer(AB[:, k], AB[:, k]), np.outer(Yhat[k], Yhat[k]))
-        try:
-            delta = np.linalg.solve(H, grad.ravel()).reshape(m, r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSchur(f"newton system singular: {exc}") from exc
-        return Theta - delta
     try:
-        cho = sla.cho_factor(M0, lower=True)
+        L0 = np.linalg.cholesky(M0)
     except np.linalg.LinAlgError as exc:
         raise SingularSchur(f"weighted Gram not positive definite: {exc}") from exc
-    T = AB.T @ sla.cho_solve(cho, AB)
-    Z = AB.T @ sla.cho_solve(cho, grad)
-    beta0 = np.einsum("ij,ij->i", Z, Yhat)
-    K = (T * (Yhat @ Yhat.T)) * vB[None, :]
+    U0 = sla.solve_triangular(L0, A[:, B], lower=True).T
+    G0 = sla.solve_triangular(L0, grad, lower=True)
+    C = np.sqrt(v[B])[:, None] * (Y[B] / nb[:, None])  # sqrt(v_B) Yhat
+    rhs = np.einsum("ij,ij->i", U0 @ G0, C)  # sqrt(v_B) beta0
     try:
-        beta = np.linalg.solve(np.eye(s) - K, beta0)
+        gam = mf.schur_solve(np.ones(M.dims.s), C, U0, rhs, schur_path)
     except np.linalg.LinAlgError as exc:
         raise SingularSchur(f"newton schur system singular: {exc}") from exc
-    delta = sla.cho_solve(cho, grad + AB @ ((vB * beta)[:, None] * Yhat))
+    # delta = M0^{-1} (grad + A_B Diag(gam) C), applied through L0
+    delta = sla.solve_triangular(L0, G0 + U0.T @ (gam[:, None] * C), lower=True, trans="T")
     return Theta - delta
 
 

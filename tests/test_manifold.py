@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from test_solvers import tangent_kkt_oracle
 
 from isectret import manifold as mf
+from isectret import problems as pb
+from isectret import solvers as sv
 from isectret.errors import DegenerateRow, NonProjector, ZeroNormal
 
 
@@ -220,26 +223,65 @@ def test_project_tangent_kills_normal_space():
     assert np.linalg.norm(mf.project_tangent(M, R, v).xi) < 1e-9 * (np.linalg.norm(v) + 1)
 
 
+def lifted_point(prob, seed):
+    """A point of a QAP/QKP lift off its constructive vertex, where every
+    binary row sits at a pole: one NewtonSLRA retraction along a seeded
+    unit tangent."""
+    M = prob.manifold
+    base = pb.feasible_init(prob, M.dims.r)
+    rng = np.random.default_rng(seed)
+    xi = mf.project_tangent(M, base, rng.standard_normal(base.shape)).xi
+    cfg = sv.RetractionConfig(kind=sv.RetractionKind.NewtonSLRA, tol=1e-12)
+    return M, sv.retract(M, base, 0.5 * xi / np.linalg.norm(xi), cfg).point
+
+
+def qap_lift(p):
+    rng = np.random.default_rng(p)
+    W = rng.integers(0, 9, size=(p, p))
+    D = rng.integers(0, 9, size=(p, p))
+    inst = pb.QapInstance(p=p, W=(W + W.T).astype(float), D=(D + D.T).astype(float), name=f"rand{p}")
+    return pb.lift_qap(inst)
+
+
+def small_s_lifts():
+    """QAP p=4 (s=16) and QKP n=10 (s=10) lifts at their default rank: both
+    take the s x s Schur route, and both ran the dense KKT branch by default
+    when project_tangent still had one (s <= 64)."""
+    return [
+        lifted_point(qap_lift(4), seed=3),
+        lifted_point(pb.lift_qkp(pb.gen_qkp(10, 0.7, 2)), seed=4),
+    ]
+
+
 def test_project_tangent_schur_path_matches_dense():
-    # same projection computed with s above/below the dense-KKT cutoff
+    # the s x s Schur route against the dense KKT oracle
     M = decoupled_manifold(N=20, s=10, m=3, r=2, seed=31)
-    R = feasible_point(M, seed=5)
-    rng = np.random.default_rng(29)
-    v = rng.standard_normal(R.shape)
-    dense = mf.project_tangent(M, R, v, force_path="dense").xi
-    schur = mf.project_tangent(M, R, v, force_path="schur").xi
-    assert np.allclose(dense, schur, atol=1e-10 * (np.linalg.norm(v) + 1))
+    cases = [(M, feasible_point(M, seed=5)), *small_s_lifts()]
+    for k, (M, R) in enumerate(cases):
+        assert M.dims.s <= 4 * M.dims.m_rows * M.dims.r
+        rng = np.random.default_rng(29 + k)
+        v = rng.standard_normal(R.shape)
+        dense = tangent_kkt_oracle(M, R, v)
+        schur = mf.project_tangent(M, R, v).xi
+        assert np.allclose(dense, schur, atol=1e-10 * (np.linalg.norm(v) + 1)), repr(M)
 
 
 def test_project_tangent_woodbury_subpath_matches_dense():
     # s large enough that the auto Schur route eliminates via Woodbury
+    # (s > 4 m r): the decoupled instance and the QKP n=20 lift at r=2
+    # (s=20, m=2); the small-s lifts take the s x s route
     M = decoupled_manifold(N=90, s=80, m=2, r=3, seed=37)
-    R = feasible_point(M, seed=11)
-    rng = np.random.default_rng(41)
-    v = rng.standard_normal(R.shape)
-    dense = mf.project_tangent(M, R, v, force_path="dense").xi
-    auto = mf.project_tangent(M, R, v).xi
-    assert np.allclose(dense, auto, atol=1e-9 * (np.linalg.norm(v) + 1))
+    cases = [
+        (M, feasible_point(M, seed=11)),
+        lifted_point(pb.lift_qkp(pb.gen_qkp(20, 0.7, 2), r=2), seed=5),
+        *small_s_lifts(),
+    ]
+    for k, (M, R) in enumerate(cases):
+        rng = np.random.default_rng(41 + k)
+        v = rng.standard_normal(R.shape)
+        dense = tangent_kkt_oracle(M, R, v)
+        auto = mf.project_tangent(M, R, v).xi
+        assert np.allclose(dense, auto, atol=1e-9 * (np.linalg.norm(v) + 1)), repr(M)
 
 
 def test_project_tangent_rejects_infeasible_base():

@@ -16,6 +16,8 @@ from isectret.errors import (
     DegenerateRow,
     InitialResidualTooLarge,
     MaxIterExceeded,
+    SingularSchur,
+    TangentSolveSingular,
     VanishingDirection,
 )
 
@@ -94,6 +96,18 @@ def general_manifold(seed):
     b = rng.standard_normal(m)
     rows = np.sort(rng.choice(N, size=s, replace=False))
     return mf.IntersectionManifold(A, b, binary_rows=rows, r=r)
+
+
+def singular_slice_setup():
+    """m = 1 with A touching only binary row 0, at a feasible point whose
+    row-0 normal is exactly e1: the slice constraint <c_0, X_0> repeats the
+    affine row's first column, so every Schur system built here is exactly
+    singular, on both the direct and the Woodbury path."""
+    A = np.array([[1.0, 0.0, 0.0]])
+    M = mf.IntersectionManifold(A, np.array([1.0]), binary_rows=[0, 1], r=2)
+    R = np.array([[1.0, 0.0], [0.5, 0.5], [3.0, -2.0]])
+    assert mf.combined_residual(M, R) == 0.0
+    return M, R
 
 
 def point_on_m1(M, seed, spread=1.0):
@@ -194,6 +208,51 @@ def aphl_delta_oracle(M, R):
     Lam = sol[:nl].reshape(m, r)
     mu = sol[nl:]
     return -A.T @ Lam + embed_rows(M, mu, C)
+
+
+def tangent_kkt_oracle(M, R, v):
+    """Tangent projection of v at R from the dense (m r + s) KKT system in
+    the multipliers (Lambda, mu), without eliminating Lambda."""
+    A = M.affine.A
+    m, r, s = M.dims.m_rows, M.dims.r, M.dims.s
+    C = mf.row_normals(M, R)
+    Av = A @ v
+    gv = np.einsum("ij,ij->i", C, v[M.binary_rows])
+    d2 = np.einsum("ij,ij->i", C, C)
+    G = A @ A.T
+    K = np.zeros((m * r + s, m * r + s))
+    K[: m * r, : m * r] = np.kron(G, np.eye(r))
+    P = np.empty((m * r, s))
+    for k, i in enumerate(M.binary_rows):
+        P[:, k] = np.outer(A[:, i], C[k]).ravel()
+    K[: m * r, m * r :] = P
+    K[m * r :, : m * r] = P.T
+    K[m * r :, m * r :] = np.diag(d2)
+    rhs = np.concatenate([Av.ravel(), gv])
+    sol = np.linalg.solve(K, rhs)
+    Lam = sol[: m * r].reshape(m, r)
+    mu = sol[m * r :]
+    return v - A.T @ Lam - embed_rows(M, mu, C)
+
+
+def gwa_newton_kron_oracle(M, Vprime, gamma, Theta):
+    """Newton update of the GWA dual objective from the (m r) x (m r)
+    Kronecker Hessian M0 (x) I_r - sum_k v_k (a_k a_k^T) (x) (yhat_k yhat_k^T),
+    M0 = A Diag(v) A^T, solved densely."""
+    A = M.affine.A
+    B = M.binary_rows
+    m, r = M.dims.m_rows, M.dims.r
+    Y = Vprime + A.T @ Theta
+    nb = np.linalg.norm(Y[B], axis=1)
+    v = np.full(M.dims.N, 2.0)
+    v[B] = 1.0 / nb
+    Yhat = Y[B] / nb[:, None]
+    grad = A @ (v[:, None] * Y)
+    grad[:, 0] += gamma
+    H = np.kron(A @ (v[:, None] * A.T), np.eye(r))
+    for k, i in enumerate(B):
+        H -= v[i] * np.kron(np.outer(A[:, i], A[:, i]), np.outer(Yhat[k], Yhat[k]))
+    return Theta - np.linalg.solve(H, _vec(grad)).reshape(m, r)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +393,29 @@ def test_newton_slra_output_slices():
     C = mf.row_normals(M, Rt)
     slice_res = np.einsum("ij,ij->i", C, (out - Rt)[M.binary_rows])
     assert np.max(np.abs(slice_res)) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("path", ["direct", "smw"])
+def test_singular_schur_systems_raise_typed_errors(path):
+    M, R = singular_slice_setup()
+    with pytest.raises(SingularSchur):
+        sv.newton_slra_step(M, R, schur_path=path)
+    # dual point with Y = R: binary row 0 of Y is exactly e1 with weight 1
+    with pytest.raises(SingularSchur):
+        sv.gwa_newton_iterate(M, R, np.zeros(1), np.zeros((1, 2)), schur_path=path)
+
+
+def test_project_tangent_singular_kkt_raises_typed_error():
+    M, R = singular_slice_setup()
+    with pytest.raises(TangentSolveSingular):
+        mf.project_tangent(M, R, np.ones_like(R))
+
+
+def test_unknown_schur_path_rejected():
+    M = general_manifold(3)
+    R = point_on_m1(M, 3)
+    with pytest.raises(ValueError, match="schur path must be one of"):
+        sv.newton_slra_step(M, R, schur_path="fast")
 
 
 def test_newton_slra_direct_smw_agree():
@@ -538,18 +620,44 @@ def test_gwa_newton_zero_direction_at_stationary_point():
     assert np.allclose(out, Theta, atol=1e-10 * (np.linalg.norm(Theta) + 1))
 
 
-def test_gwa_newton_direct_smw_agree():
-    for N, s, m, r, seed in ((30, 25, 1, 2, 51), (10, 3, 2, 2, 53)):
-        rng = np.random.default_rng(seed)
+def _criterion6_dual_cases():
+    """The 50 instances of acceptance criterion 6, drawn in the same order."""
+    for seed in range(50):
+        rng = np.random.default_rng(seed + 500)
+        N = int(rng.integers(6, 40))
+        s = int(rng.integers(1, min(N - 1, 30)))
+        m = int(rng.integers(1, 3))
+        r = int(rng.integers(1, 4))
         A = rng.standard_normal((m, N))
         b = rng.standard_normal(m)
-        M = mf.IntersectionManifold(A, b, binary_rows=np.arange(s), r=r)
+        rows = np.sort(rng.choice(N, size=s, replace=False))
+        M = mf.IntersectionManifold(A, b, binary_rows=rows, r=r)
         V = rng.standard_normal((N, r))
         Vp, gamma = _dual_data(M, V)
         Theta = 0.1 * rng.standard_normal((m, r))
+        yield f"criterion 6 seed {seed}", M, Vp, gamma, Theta
+
+
+def test_gwa_newton_direct_smw_agree():
+    def own_cases():
+        for N, s, m, r, seed in ((30, 25, 1, 2, 51), (10, 3, 2, 2, 53)):
+            rng = np.random.default_rng(seed)
+            A = rng.standard_normal((m, N))
+            b = rng.standard_normal(m)
+            M = mf.IntersectionManifold(A, b, binary_rows=np.arange(s), r=r)
+            V = rng.standard_normal((N, r))
+            Vp, gamma = _dual_data(M, V)
+            Theta = 0.1 * rng.standard_normal((m, r))
+            yield f"seed {seed}", M, Vp, gamma, Theta
+
+    for label, M, Vp, gamma, Theta in (*own_cases(), *_criterion6_dual_cases()):
+        want = gwa_newton_kron_oracle(M, Vp, gamma, Theta)
         d = sv.gwa_newton_iterate(M, Vp, gamma, Theta, schur_path="direct")
         w = sv.gwa_newton_iterate(M, Vp, gamma, Theta, schur_path="smw")
-        assert np.linalg.norm(d - w) < 1e-9 * (np.linalg.norm(d) + 1.0)
+        assert np.linalg.norm(d - w) < 1e-9 * (np.linalg.norm(d) + 1.0), label
+        for path, got in (("direct", d), ("smw", w)):
+            rel = np.linalg.norm(got - want) / (np.linalg.norm(want) + 1.0)
+            assert rel < 1e-9, f"{label}, {path}: {rel:.3e} from the Kronecker oracle"
 
 
 def test_gwa_newton_superlinear_near_limit():
