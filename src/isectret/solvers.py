@@ -12,12 +12,15 @@ cheap step map from V = x + eta:
  - aphl_step: dissolve the affine block into a correction along the sphere
    tangents (iterates live on M2),
  - gwa_iterate / gwa_newton_iterate: dual ascent for the exact metric
-   projection, wrapped by metric_project,
- - tapr: a three-phase hybrid (APM far out, iAP in a moderate neighborhood,
-   NewtonSLRA near the set) with merit-decrease safeguards.
+   projection, wrapped by metric_project.
 
-The retract() driver wraps any of these behind one config and records a
-per-iteration trace (phase tag, residuals, step norm, wall time).
+One loop, _iterate, runs every retraction: it records the start, tests the
+residual bound, records each step (phase tag, residuals, step norm, wall
+time) and raises MaxIterExceeded with the partial result. A kind supplies
+only its step policy: a step map above with the Newton family's APM
+fallback, one metric_project call, or tapr's phase machine (APM far out, iAP
+in a moderate neighborhood, NewtonSLRA near the set, with merit-decrease
+safeguards). retract() picks the policy from one config.
 """
 
 from __future__ import annotations
@@ -109,8 +112,6 @@ class RetractionConfig:
     kind: RetractionKind = RetractionKind.APM
     tol: float = 1e-9
     maxiter: int = 200
-    schur_path: str = "auto"
-    tapr: TaprParams | None = None
     # residual bound is tol * (||y||_F + 1) unless this flag makes it plain tol
     tol_absolute: bool = False
 
@@ -121,10 +122,6 @@ class RetractionConfig:
             raise ValueError("tol must be >= 1e-15")
         if self.maxiter != int(self.maxiter) or self.maxiter < 1:
             raise ValueError("maxiter must be a positive integer")
-        if self.schur_path not in mf._SCHUR_PATHS:
-            raise ValueError(f"schur_path must be one of {mf._SCHUR_PATHS}")
-        if self.tapr is not None and not isinstance(self.tapr, TaprParams):
-            raise ValueError("tapr must be a TaprParams instance")
 
 
 @dataclass
@@ -318,7 +315,9 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
 
     Runs the chosen dual iteration from Theta = 0 until the update is small
     and the dual objective did not increase, then recovers the primal point
-    as project_binary(V + A^T Theta*).
+    as project_binary(V + A^T Theta*). Raises MaxIterExceeded if the dual
+    loop does not settle, or if the recovered point misses the bound
+    tol * (||P|| + 1) and is also less feasible than V (a stalled dual step).
     """
     if method not in ("gwa", "gwa-newton"):
         raise ValueError("method must be 'gwa' or 'gwa-newton'")
@@ -341,7 +340,14 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
         )
         Theta, g_cur = nxt, g_nxt
         if done:
-            return mf.project_binary(M, V + A.T @ Theta)
+            P = mf.project_binary(M, V + A.T @ Theta)
+            res = mf.combined_residual(M, P)
+            if res > tol * (np.linalg.norm(P) + 1.0) and res > mf.combined_residual(M, V):
+                raise MaxIterExceeded(
+                    f"dual iteration ({method}) stalled: recovered residual {res:.3e} "
+                    "exceeds both its bound and the input's residual"
+                )
+            return P
     raise MaxIterExceeded(f"dual iteration ({method}) did not settle in {maxiter} steps")
 
 
@@ -392,18 +398,36 @@ def _bound(tol, tol_absolute, Y):
     return tol if tol_absolute else tol * (np.linalg.norm(Y) + 1.0)
 
 
-def _make_step(M, kind, schur_path):
-    if kind is RetractionKind.APM:
-        return lambda R: apm_step(M, R)
-    if kind is RetractionKind.IAP:
-        return lambda R: iap_step(M, R)
-    if kind is RetractionKind.NewtonSLRA:
-        return lambda R: newton_slra_step(M, R, schur_path=schur_path)
-    if kind is RetractionKind.RelaxedNewtonSLRA:
-        return lambda R: relaxed_newton_slra_step(M, R)
-    if kind is RetractionKind.APHL:
-        return lambda R: aphl_step(M, R, schur_path=schur_path)
-    raise ValueError(f"no step map for kind {kind}")
+def _iterate(M, V, kind, advance, tol, tol_absolute, maxiter, init_tag, start=None, res=None):
+    """The one retraction loop. Records V, returns it if it already meets the
+    bound, else runs start (retry index 0) and then advance(y, res, i) ->
+    (y, res, tag) for i = 1..maxiter until the bound holds. Raises
+    MaxIterExceeded carrying the partial result when the budget runs out.
+    res, when given, is V's combined residual, already computed."""
+    trace = IterTrace()
+    if res is None:
+        res = mf.combined_residual(M, V)
+    trace.record(init_tag, res, np.linalg.norm(mf.binary_residual(M, V)), 0.0, 0.0)
+    if res <= _bound(tol, tol_absolute, V):
+        return RetractionResult(point=V, converged=True, trace=trace, kind=kind)
+    y = V
+    if start is not None:
+        y = _step_with_retry(start, V, 0)
+        res = mf.combined_residual(M, y)
+    for i in range(1, maxiter + 1):
+        t0 = time.perf_counter()
+        y_new, res, tag = advance(y, res, i)
+        trace.record(
+            tag, res, np.linalg.norm(mf.binary_residual(M, y_new)), np.linalg.norm(y_new - y),
+            time.perf_counter() - t0,
+        )
+        y = y_new
+        if res <= _bound(tol, tol_absolute, y):
+            return RetractionResult(point=y, converged=True, trace=trace, kind=kind)
+    raise MaxIterExceeded(
+        f"retraction ({kind.value}) missed tol {tol:g} in {maxiter} iterations",
+        result=RetractionResult(point=y, converged=False, trace=trace, kind=kind),
+    )
 
 
 _NEWTON_FAMILY = (
@@ -416,90 +440,61 @@ _NEWTON_FAMILY = (
 def retract(M, x, eta, cfg: RetractionConfig, base_tol=None) -> RetractionResult:
     """Retraction driver: iterate cfg.kind's step map from x + eta until the
     combined residual meets the bound. Raises MaxIterExceeded (carrying the
-    partial result) when the budget runs out.
+    partial result) when the budget runs out. TAPR goes through tapr() with
+    default TaprParams; the metric kinds take one metric_project step.
 
     base_tol widens the feasibility guard on x (relative, default
     FEASIBILITY_TOL) for callers whose base legitimately carries the
     residual of an earlier inexact retraction."""
     if not isinstance(cfg, RetractionConfig):
         raise TypeError("cfg must be a RetractionConfig")
-    x, eta = _validate_base_and_tangent(M, x, eta, base_tol=base_tol)
-    if cfg.kind is RetractionKind.TAPR:
-        params = cfg.tapr if cfg.tapr is not None else TaprParams()
+    kind = cfg.kind
+    if kind is RetractionKind.TAPR:
         return tapr(
-            M, x, eta, params,
+            M, x, eta, TaprParams(),
             tol=cfg.tol, maxiter=cfg.maxiter, tol_absolute=cfg.tol_absolute,
             base_tol=base_tol,
         )
+    x, eta = _validate_base_and_tangent(M, x, eta, base_tol=base_tol)
     V = x + eta
-    trace = IterTrace()
-    res = mf.combined_residual(M, V)
-    trace.record("init", res, np.linalg.norm(mf.binary_residual(M, V)), 0.0, 0.0)
-    if res <= _bound(cfg.tol, cfg.tol_absolute, V):
-        return RetractionResult(point=V, converged=True, trace=trace, kind=cfg.kind)
+    if kind in (RetractionKind.MetricGWA, RetractionKind.MetricGWANewton):
+        method = "gwa" if kind is RetractionKind.MetricGWA else "gwa-newton"
 
-    if cfg.kind in (RetractionKind.MetricGWA, RetractionKind.MetricGWANewton):
-        method = "gwa" if cfg.kind is RetractionKind.MetricGWA else "gwa-newton"
-        t0 = time.perf_counter()
-        # dual tolerance sits below the primal target so the recovered
-        # point clears the residual bound
-        point = metric_project(M, V, method=method, tol=cfg.tol * 1e-2, maxiter=cfg.maxiter)
-        res = mf.combined_residual(M, point)
-        trace.record(
-            cfg.kind.value,
-            res,
-            np.linalg.norm(mf.binary_residual(M, point)),
-            np.linalg.norm(point - V),
-            time.perf_counter() - t0,
-        )
-        result = RetractionResult(
-            point=point,
-            converged=res <= _bound(cfg.tol, cfg.tol_absolute, point),
-            trace=trace,
-            kind=cfg.kind,
-        )
-        if not result.converged:
-            raise MaxIterExceeded(
-                "dual loop settled but the primal residual bound was missed",
-                result=result,
-            )
-        return result
+        def project(y, res, i):
+            # dual tolerance sits below the primal target so the recovered
+            # point clears the residual bound
+            point = metric_project(M, y, method=method, tol=cfg.tol * 1e-2, maxiter=cfg.maxiter)
+            return point, mf.combined_residual(M, point), kind.value
 
-    step = _make_step(M, cfg.kind, cfg.schur_path)
-    y = V
-    if cfg.kind is RetractionKind.APHL:
-        y = _step_with_retry(lambda R: mf.project_binary(M, R), V, 0)
-        res = mf.combined_residual(M, y)
-    for i in range(1, cfg.maxiter + 1):
-        t0 = time.perf_counter()
-        tag = cfg.kind.value
+        return _iterate(M, V, kind, project, cfg.tol, cfg.tol_absolute, 1, "init")
+
+    # looked up per call: the step maps are module globals that may be rebound
+    step = {
+        RetractionKind.APM: lambda R: apm_step(M, R),
+        RetractionKind.IAP: lambda R: iap_step(M, R),
+        RetractionKind.NewtonSLRA: lambda R: newton_slra_step(M, R),
+        RetractionKind.RelaxedNewtonSLRA: lambda R: relaxed_newton_slra_step(M, R),
+        RetractionKind.APHL: lambda R: aphl_step(M, R),
+    }[kind]
+
+    def advance(y, res, i):
+        tag = kind.value
         try:
             y_new = _step_with_retry(step, y, i)
             res_new = mf.combined_residual(M, y_new)
         except VanishingDirection:
-            if cfg.kind is not RetractionKind.RelaxedNewtonSLRA:
+            if kind is not RetractionKind.RelaxedNewtonSLRA:
                 raise
             y_new, res_new, tag = None, np.inf, "apm-fallback"
-        if cfg.kind in _NEWTON_FAMILY and res_new > res:
+        if kind in _NEWTON_FAMILY and res_new > res:
             # the local guarantees failed; take one safe sweep instead
             y_new = _step_with_retry(lambda R: apm_step(M, R), y, i)
             res_new = mf.combined_residual(M, y_new)
             tag = "apm-fallback"
-        trace.record(
-            tag,
-            res_new,
-            np.linalg.norm(mf.binary_residual(M, y_new)),
-            np.linalg.norm(y_new - y),
-            time.perf_counter() - t0,
-        )
-        y, res = y_new, res_new
-        if res <= _bound(cfg.tol, cfg.tol_absolute, y):
-            return RetractionResult(point=y, converged=True, trace=trace, kind=cfg.kind)
-    partial = RetractionResult(point=y, converged=False, trace=trace, kind=cfg.kind)
-    raise MaxIterExceeded(
-        f"retraction ({cfg.kind.value}) missed tol {cfg.tol:g} in {cfg.maxiter} iterations",
-        result=partial,
-    )
+        return y_new, res_new, tag
+
+    start = (lambda R: mf.project_binary(M, R)) if kind is RetractionKind.APHL else None
+    return _iterate(M, V, kind, advance, cfg.tol, cfg.tol_absolute, cfg.maxiter, "init", start)
 
 
 def tapr(
@@ -507,64 +502,45 @@ def tapr(
 ) -> RetractionResult:
     """Three-phase retraction: APM until err < a1, then iAP with a
     merit-decrease test, then NewtonSLRA once err <= a2 or an iAP probe
-    stalls. Rejected trials keep the current point, fall back one phase,
-    and still count against maxiter."""
+    stalls. A phase policy run by the retraction loop: rejected trials keep
+    the current point (step norm 0), fall back one phase, and still count
+    against maxiter."""
     if not isinstance(params, TaprParams):
         raise TypeError("params must be a TaprParams")
     if tol < 1e-15 or maxiter < 1:
         raise ValueError("tol must be >= 1e-15 and maxiter >= 1")
     x, eta = _validate_base_and_tangent(M, x, eta, base_tol=base_tol)
     a2 = params.a2 if params.a2 is not None else min(params.a1, tol * 1e3)
-
-    y = x + eta
-    err = mf.combined_residual(M, y)
+    V = x + eta
+    err = mf.combined_residual(M, V)
     if err > params.a0:
         raise InitialResidualTooLarge(err, params.a0)
-    trace = IterTrace()
-    trace.record("apm", err, np.linalg.norm(mf.binary_residual(M, y)), 0.0, 0.0)
-    if err <= _bound(tol, tol_absolute, y):
-        return RetractionResult(point=y, converged=True, trace=trace, kind=RetractionKind.TAPR)
-
     phase = "apm"
-    i = 1
-    while i <= maxiter and err > _bound(tol, tol_absolute, y):
-        t0 = time.perf_counter()
-        moved = 0.0
+
+    def advance(y, err, i):
+        nonlocal phase
         if phase == "apm":
-            y_new = _step_with_retry(lambda R: apm_step(M, R), y, i)
-            moved = np.linalg.norm(y_new - y)
-            y, err, tag = y_new, mf.combined_residual(M, y_new), "apm"
+            y = _step_with_retry(lambda R: apm_step(M, R), y, i)
+            err = mf.combined_residual(M, y)
             if err < params.a1:
                 phase = "iap"
-        elif phase == "iap":
+            return y, err, "apm"
+        if phase == "iap":
             probe = _step_with_retry(lambda R: iap_step(M, R), y, i)
             err_probe = mf.combined_residual(M, probe)
-            err_pre = err
-            if err_probe**2 <= (1.0 - params.mu1) * err_pre**2:
-                moved = np.linalg.norm(probe - y)
+            slow = err_probe**2 > (1.0 - params.mu0) * err**2
+            if err_probe**2 <= (1.0 - params.mu1) * err**2:
                 y, err, tag = probe, err_probe, "iap"
             else:
                 tag, phase = "iap-reject", "apm"
-            slow = err_probe**2 > (1.0 - params.mu0) * err_pre**2
             if err <= a2 or slow:
                 phase = "newton"
-        else:
-            probe = _step_with_retry(lambda R: newton_slra_step(M, R), y, i)
-            err_probe = mf.combined_residual(M, probe)
-            if err_probe**2 <= (1.0 - params.mu2) * err**2:
-                moved = np.linalg.norm(probe - y)
-                y, err, tag = probe, err_probe, "newton"
-            else:
-                tag, phase = "newton-reject", "iap"
-        trace.record(
-            tag, err, np.linalg.norm(mf.binary_residual(M, y)), moved,
-            time.perf_counter() - t0,
-        )
-        i += 1
-    if err <= _bound(tol, tol_absolute, y):
-        return RetractionResult(point=y, converged=True, trace=trace, kind=RetractionKind.TAPR)
-    partial = RetractionResult(point=y, converged=False, trace=trace, kind=RetractionKind.TAPR)
-    raise MaxIterExceeded(
-        f"three-phase retraction missed tol {tol:g} in {maxiter} trials",
-        result=partial,
-    )
+            return y, err, tag
+        probe = _step_with_retry(lambda R: newton_slra_step(M, R), y, i)
+        err_probe = mf.combined_residual(M, probe)
+        if err_probe**2 <= (1.0 - params.mu2) * err**2:
+            return probe, err_probe, "newton"
+        phase = "iap"
+        return y, err, "newton-reject"
+
+    return _iterate(M, V, RetractionKind.TAPR, advance, tol, tol_absolute, maxiter, "apm", res=err)

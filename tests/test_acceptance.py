@@ -40,7 +40,6 @@ from scipy.linalg import null_space
 import test_solvers as ts
 
 import isectret.manifold as mf
-import isectret.optimizer as op
 import isectret.problems as pb
 import isectret.solvers as sv
 import isectret.verify as vf
@@ -68,23 +67,8 @@ def _report(num, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def qkp50_probe():
-    """Pinned instance with a usable probe direction.
-
-    The constructive feasible point is first-order stationary (its binary
-    rows sit at sphere poles, so the tangent projector annihilates the
-    gradient's support); the probe therefore moves the base by one exact
-    retraction of a seeded unit tangent and differentiates there.
-    """
-    prob = pb.lift_qkp(pb.gen_qkp(50, 0.5, 42), r=10)
-    M = prob.manifold
-    base = pb.feasible_init(prob, 10)
-    rng = np.random.default_rng(20260819)
-    xi = mf.project_tangent(M, base, rng.standard_normal(base.shape)).xi
-    xi /= np.linalg.norm(xi)
-    polish = sv.RetractionConfig(kind=K.NewtonSLRA, tol=1e-12)
-    x = sv.retract(M, base, 0.5 * xi, polish).point
-    g = mf.project_tangent(M, x, op.gradient(prob, x)).xi
-    eta = g / np.linalg.norm(g)
+    """Pinned instance with a usable probe direction (see ts.qkp50_probe_pair)."""
+    M, x, eta = ts.qkp50_probe_pair()
     floor = PLATEAU_COEFF * (np.linalg.norm(x) + 1.0)
     return M, x, eta, floor
 

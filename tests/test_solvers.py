@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from isectret import manifold as mf
+from isectret import optimizer as op
 from isectret import problems as pb
 from isectret import solvers as sv
 from isectret.errors import (
@@ -68,6 +69,24 @@ def qkp_setup(n=10, r=3, seed=2, density=0.7):
     prob = pb.lift_qkp(inst, r=r)
     x = pb.feasible_init(prob, r=r)
     return prob.manifold, x
+
+
+def qkp50_probe_pair():
+    """Criterion 1's pinned QKP n=50 probe. The constructive feasible point
+    is first-order stationary (its binary rows sit at sphere poles, so the
+    tangent projector annihilates the gradient's support); x is therefore
+    one exact retraction of a seeded unit tangent away from it, and eta the
+    unit projected gradient at x."""
+    prob = pb.lift_qkp(pb.gen_qkp(50, 0.5, 42), r=10)
+    M = prob.manifold
+    base = pb.feasible_init(prob, 10)
+    rng = np.random.default_rng(20260819)
+    xi = mf.project_tangent(M, base, rng.standard_normal(base.shape)).xi
+    xi /= np.linalg.norm(xi)
+    polish = sv.RetractionConfig(kind=sv.RetractionKind.NewtonSLRA, tol=1e-12)
+    x = sv.retract(M, base, 0.5 * xi, polish).point
+    g = mf.project_tangent(M, x, op.gradient(prob, x)).xi
+    return M, x, g / np.linalg.norm(g)
 
 
 def coupled_setup(seed=15, N=9, s=4, m=2, r=2):
@@ -292,8 +311,6 @@ def test_retraction_config_validation():
         sv.RetractionConfig(kind=sv.RetractionKind.APM, tol=1e-16)
     with pytest.raises(ValueError):
         sv.RetractionConfig(kind=sv.RetractionKind.APM, maxiter=0)
-    with pytest.raises(ValueError):
-        sv.RetractionConfig(kind=sv.RetractionKind.APM, schur_path="fast")
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +733,18 @@ def test_metric_project_methods_agree():
     assert np.linalg.norm(a - b) < 1e-8 * (np.linalg.norm(a) + 1.0)
 
 
+def test_metric_project_refuses_a_stalled_dual_step():
+    # at t = 1e-3 on the probe the Weiszfeld update stalls: its stop test
+    # passes while the recovered point is ~170x less feasible than V
+    M, x, eta = qkp50_probe_pair()
+    V = x + 1e-3 * eta
+    assert 1e-7 < mf.combined_residual(M, V) < 1e-6
+    with pytest.raises(MaxIterExceeded, match="stalled"):
+        sv.metric_project(M, V, method="gwa")
+    P = sv.metric_project(M, V, method="gwa-newton")
+    assert mf.combined_residual(M, P) <= 1e-9 * (np.linalg.norm(P) + 1.0)
+
+
 def test_metric_project_maxiter():
     M = decoupled_manifold(seed=18)
     x = feasible_point(M, seed=18)
@@ -774,17 +803,41 @@ def test_retract_rejects_non_tangent_eta():
         sv.retract(M, x, bad, cfg)
 
 
+ITERATIVE_KINDS = [
+    k
+    for k in sv.RetractionKind
+    if k not in (sv.RetractionKind.MetricGWA, sv.RetractionKind.MetricGWANewton)
+]
+
+
 def test_retract_maxiter_carries_partial_result():
     M, x = qkp_setup(n=10, r=3, seed=2)
     eta = 0.1 * unit_tangent(M, x, seed=23)
+    for kind in ITERATIVE_KINDS:
+        cfg = sv.RetractionConfig(kind=kind, tol=1e-15, maxiter=2, tol_absolute=True)
+        with pytest.raises(MaxIterExceeded) as exc:
+            sv.retract(M, x, eta, cfg)
+        res = exc.value.result
+        assert res is not None and not res.converged, kind
+        assert res.kind is kind
+        # the start record plus one record per step of the budget
+        assert len(res.trace.combined) == cfg.maxiter + 1, kind
+        assert res.trace.combined[-1] == mf.combined_residual(M, res.point), kind
+
+
+def test_retract_tapr_is_tapr_with_default_params():
+    M, x = qkp_setup(n=12, r=3, seed=6)
+    eta = 0.5 * unit_tangent(M, x, seed=29)
     cfg = sv.RetractionConfig(
-        kind=sv.RetractionKind.APM, tol=1e-15, maxiter=2, tol_absolute=True
+        kind=sv.RetractionKind.TAPR, tol=1e-11, maxiter=300, tol_absolute=True
     )
-    with pytest.raises(MaxIterExceeded) as exc:
-        sv.retract(M, x, eta, cfg)
-    res = exc.value.result
-    assert res is not None and not res.converged
-    assert len(res.trace.combined) >= 1
+    via_retract = sv.retract(M, x, eta, cfg)
+    direct = sv.tapr(M, x, eta, sv.TaprParams(), tol=1e-11, maxiter=300, tol_absolute=True)
+    assert via_retract.converged and via_retract.kind is sv.RetractionKind.TAPR
+    assert np.array_equal(via_retract.point, direct.point)
+    a, b = via_retract.trace, direct.trace
+    assert a.phases == b.phases and a.combined == b.combined
+    assert a.binary == b.binary and a.step_norms == b.step_norms
 
 
 def test_retract_apm_binary_residual_contracts():
@@ -918,11 +971,13 @@ def test_tapr_rejections_count_against_maxiter():
     assert len(res.trace.phases) == 9  # initial record + 8 trials
     rejected = [p for p in res.trace.phases if p.endswith("reject")]
     assert rejected, "expected at least one rejected trial"
-    # err is kept from the last accepted point: never increases on a reject
+    # the point is kept from the last accepted trial: err never increases
+    # and the step norm is exactly 0 on a reject
     errs = res.trace.combined
     for k, tag in enumerate(res.trace.phases):
         if tag.endswith("reject") and k >= 1:
             assert errs[k] == pytest.approx(errs[k - 1])
+            assert res.trace.step_norms[k] == 0.0
 
 
 # ---------------------------------------------------------------------------
