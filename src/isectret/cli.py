@@ -50,6 +50,8 @@ from . import verify as vf
 from .errors import AsymmetricMatrix, IsectError, MalformedFile, NearZeroInput
 
 _MOVE_SEED = 20260819
+# verify-order's default window: the one default_t_grid() spans
+_T_GRID = vf.default_t_grid()
 
 _VERIFY_HEADER = [
     "kind",
@@ -221,22 +223,23 @@ def _solve_cell(inst, kind, args):
     return op.solve(inst, inst.meta["r"], cfg, R0=R0)
 
 
-def _cmd_solve(args) -> int:
-    kind = _parse_kinds(args.kind)[0]
-    inst = _load_instance(args.instance, r=args.r)
-    report = _solve_cell(inst, kind, args)
-    name = inst.meta["name"]
-    row = [
-        name,
-        kind.value,
-        inst.meta["r"],
-        args.tol,
+def _report_cells(report) -> list:
+    """The five result columns that solve and bench rows share."""
+    return [
         report.final_objective,
         report.grad_norm,
         report.outer_iters,
         report.total_retraction_iters,
         report.mean_retraction_iters,
     ]
+
+
+def _cmd_solve(args) -> int:
+    kind = _parse_kinds(args.kind)[0]
+    inst = _load_instance(args.instance, r=args.r)
+    report = _solve_cell(inst, kind, args)
+    name = inst.meta["name"]
+    row = [name, kind.value, inst.meta["r"], args.tol] + _report_cells(report)
     _write_csv(args.out, _SOLVE_HEADER, [row])
     if args.timing_out is not None:
         _write_csv(
@@ -280,17 +283,8 @@ def _cmd_bench(args) -> int:
     rows = []
     timing_rows = []
     for (inst, kind, rep), (status, report, wall) in zip(cells, results):
-        head = [inst.meta["name"], kind.value, rep, status]
-        if report is None:
-            rows.append(head + [""] * 5)
-        else:
-            rows.append(head + [
-                report.final_objective,
-                report.grad_norm,
-                report.outer_iters,
-                report.total_retraction_iters,
-                report.mean_retraction_iters,
-            ])
+        tail = [""] * 5 if report is None else _report_cells(report)
+        rows.append([inst.meta["name"], kind.value, rep, status] + tail)
         timing_rows.append([inst.meta["name"], kind.value, rep, wall])
     _write_csv(args.out, _BENCH_HEADER, rows)
     if args.timing_out is not None:
@@ -339,9 +333,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-order", help="fit retraction error slopes")
     p.add_argument("--instance", required=True)
     p.add_argument("--kinds", required=True, help="comma-separated retraction kinds")
-    p.add_argument("--t-min", type=float, default=1e-7, dest="t_min")
-    p.add_argument("--t-max", type=float, default=1e-5, dest="t_max")
-    p.add_argument("--points", type=int, default=15)
+    p.add_argument("--t-min", type=float, default=float(_T_GRID[0]), dest="t_min")
+    p.add_argument("--t-max", type=float, default=float(_T_GRID[-1]), dest="t_max")
+    p.add_argument("--points", type=int, default=_T_GRID.size)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_verify_order)
 

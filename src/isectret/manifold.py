@@ -10,7 +10,7 @@ be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -28,19 +28,17 @@ __all__ = [
     "AffineSystem",
     "IntersectionManifold",
     "TangentVector",
-    "ConstraintResidual",
     "binary_residual",
     "affine_residual",
-    "residual",
     "combined_residual",
     "project_affine",
     "project_binary",
     "row_normals",
     "project_tangent",
+    "project_slice",
     "schur_solve",
     "linearized_project",
     "angle_cosine",
-    "point_scale",
     "FEASIBILITY_TOL",
 ]
 
@@ -126,21 +124,6 @@ class TangentVector:
     base: np.ndarray
 
 
-@dataclass(frozen=True)
-class ConstraintResidual:
-    affine_block: np.ndarray
-    binary_block: np.ndarray
-    combined_norm: float = field(init=False)
-
-    def __post_init__(self):
-        c = float(np.sqrt(np.linalg.norm(self.affine_block) ** 2 + np.linalg.norm(self.binary_block) ** 2))
-        object.__setattr__(self, "combined_norm", c)
-
-
-def point_scale(R: np.ndarray) -> float:
-    return float(np.linalg.norm(R)) + 1.0
-
-
 def _check_dims(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (M.dims.N, M.dims.r):
@@ -162,12 +145,11 @@ def affine_residual(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     return out
 
 
-def residual(M: IntersectionManifold, R: np.ndarray) -> ConstraintResidual:
-    return ConstraintResidual(affine_residual(M, R), binary_residual(M, R))
-
-
 def combined_residual(M: IntersectionManifold, R: np.ndarray) -> float:
-    return residual(M, R).combined_norm
+    """sqrt(||A R - b e1^T||^2 + ||h||^2), h the binary_residual."""
+    E = affine_residual(M, R)
+    h = binary_residual(M, R)
+    return float(np.sqrt(np.linalg.norm(E) ** 2 + np.linalg.norm(h) ** 2))
 
 
 def project_affine(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
@@ -216,13 +198,6 @@ def linearized_project(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     return out
 
 
-def _embed_binary(M: IntersectionManifold, mu: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """T_B*(mu): rows indexed by B are mu_i c_i, all other rows zero."""
-    out = np.zeros((M.dims.N, M.dims.r))
-    out[M.binary_rows] = mu[:, None] * C
-    return out
-
-
 def schur_solve(d, C, U, rhs, path="auto"):
     """Solve (Diag(d) - (C C^T) o (U U^T)) x = rhs for C of shape (s, r) and
     U of shape (s, m).
@@ -251,6 +226,45 @@ def schur_solve(d, C, U, rhs, path="auto"):
     return rhs / d + Wd @ np.linalg.solve(core, Wd.T @ rhs)
 
 
+def project_slice(
+    M: IntersectionManifold,
+    v: np.ndarray,
+    C: np.ndarray,
+    d: np.ndarray,
+    h: np.ndarray,
+    E: np.ndarray | None = None,
+    path: str = "auto",
+) -> np.ndarray:
+    """Least-norm move of v onto the slice {X : A X = A v - E,
+    <c_i, X_i> = <c_i, v_i> - h_i for i in B}, C holding the rows c_i.
+
+    Returns v - A^T Lam - T_B*(mu), where T_B*(mu) has rows mu_i c_i on B and
+    zeros elsewhere. Eliminating Lam = (A A^T)^{-1} (E - A_B (mu o C))
+    through the cached Gram factor leaves the s x s Schur system
+    (Diag(d) - (C C^T) o (U U^T)) mu = h - <c_i, (A_B^T (A A^T)^{-1} E)_i>,
+    solved by schur_solve on path. d is the diagonal of C C^T (ones when the
+    rows are unit normals of points on M2). E = None stands for E = 0 and
+    skips its Gram solve.
+
+    The tangent projector, the NewtonSLRA step and the APHL step are all this
+    one projection. A singular Schur system raises numpy.linalg.LinAlgError;
+    callers turn it into their own typed error.
+    """
+    A = M.affine.A
+    B = M.binary_rows
+    AB = A[:, B]
+    rhs = h
+    if E is not None:
+        rhs = h - np.einsum("ij,ij->i", AB.T @ M.affine.gram_solve(E), C)
+    mu = schur_solve(d, C, M.affine.low_rank_factor, rhs, path)
+    muC = mu[:, None] * C
+    Y = AB @ muC
+    Lam = -M.affine.gram_solve(Y) if E is None else M.affine.gram_solve(E - Y)
+    out = v - A.T @ Lam
+    out[B] -= muC
+    return out
+
+
 def project_tangent(
     M: IntersectionManifold,
     R: np.ndarray,
@@ -259,10 +273,9 @@ def project_tangent(
 ) -> TangentVector:
     """Orthogonal projection of v onto {xi : A xi = 0, <c_i, xi_i> = 0 for i in B}.
 
-    Solves the KKT system in the multipliers (Lambda, mu): Lambda is
-    eliminated through the cached Gram factor, which leaves the s x s Schur
-    complement Diag(||c_i||^2) - (C C^T) o (A_B^T (A A^T)^{-1} A_B) in mu,
-    solved by schur_solve.
+    This is project_slice with E = A v, h_i = <c_i, v_i> and
+    d_i = ||c_i||^2: the KKT multipliers are eliminated through the cached
+    Gram factor and the s x s Schur complement is solved by schur_solve.
 
     base_tol widens the feasibility guard on R (relative, default
     FEASIBILITY_TOL): inexact outer loops legitimately anchor at points
@@ -271,25 +284,18 @@ def project_tangent(
     R = _check_dims(M, R)
     v = _check_dims(M, v)
     allow = FEASIBILITY_TOL if base_tol is None else float(base_tol)
-    res = residual(M, R)
-    if res.combined_norm > allow * point_scale(R):
+    res = combined_residual(M, R)
+    if res > allow * (np.linalg.norm(R) + 1.0):
         raise ValueError(
-            f"base point infeasible: combined residual {res.combined_norm:.3e} "
-            f"exceeds {allow:.0e} * scale"
+            f"base point infeasible: combined residual {res:.3e} exceeds {allow:.0e} * scale"
         )
-    A = M.affine.A
-    AB = A[:, M.binary_rows]
     C = row_normals(M, R)
-    Av = A @ v
     gv = np.einsum("ij,ij->i", C, v[M.binary_rows])
     d2 = np.einsum("ij,ij->i", C, C)
-    q = np.einsum("ij,ij->i", AB.T @ M.affine.gram_solve(Av), C)
     try:
-        mu = schur_solve(d2, C, M.affine.low_rank_factor, gv - q)
+        xi = project_slice(M, v, C, d2, gv, E=M.affine.A @ v)
     except np.linalg.LinAlgError as e:
         raise TangentSolveSingular(f"tangent KKT solve failed: {e}") from e
-    Lam = M.affine.gram_solve(Av - AB @ (mu[:, None] * C))
-    xi = v - A.T @ Lam - _embed_binary(M, mu, C)
     return TangentVector(xi=xi, base=R)
 
 

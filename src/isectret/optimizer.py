@@ -48,11 +48,11 @@ __all__ = [
     "solve",
 ]
 
-_BB_VARIANTS = ("bb1", "bb2", "alternating")
 _DECREASE_COEFF = 1e-8
 _MAX_HALVINGS = 20
 _FIRST_STEP_COEFF = 1e-3
 _DEFAULT_STEP_BOUNDS = (1e-8, 1e2)
+_NONMONOTONE_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,7 @@ class OptimizerConfig:
     retraction: sv.RetractionConfig
     grad_tol: float = 1e-6
     max_outer: int = 1000
-    bb_variant: str = "bb1"
     step_bounds: tuple = _DEFAULT_STEP_BOUNDS
-    nonmonotone_window: int = 5
 
     def __post_init__(self):
         if not isinstance(self.retraction, sv.RetractionConfig):
@@ -71,14 +69,9 @@ class OptimizerConfig:
             raise ValueError("grad_tol must be positive")
         if self.max_outer != int(self.max_outer) or self.max_outer < 1:
             raise ValueError("max_outer must be a positive integer")
-        if self.bb_variant not in _BB_VARIANTS:
-            raise ValueError(f"bb_variant must be one of {_BB_VARIANTS}")
         lo, hi = self.step_bounds
         if not 0.0 < lo <= hi:
             raise ValueError("step_bounds must satisfy 0 < min <= max")
-        w = self.nonmonotone_window
-        if w != int(w) or w < 1:
-            raise ValueError("nonmonotone_window must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -121,15 +114,11 @@ def gradient(inst: pb.ProblemInstance, R: np.ndarray) -> np.ndarray:
     return G
 
 
-def bb_step(s_prev, y_prev, variant, k=0, step_bounds=_DEFAULT_STEP_BOUNDS):
-    """Barzilai-Borwein stepsize from the last displacement pair.
-
-    bb1 returns <s,s>/<s,y>, bb2 returns <s,y>/<y,y>; alternating picks
-    bb1 on even k and bb2 on odd k. The result is clamped to step_bounds,
-    and any non-positive or undefined ratio falls back to the lower bound.
+def bb_step(s_prev, y_prev, step_bounds=_DEFAULT_STEP_BOUNDS):
+    """Barzilai-Borwein (BB1) stepsize <s,s>/<s,y> from the last displacement
+    pair. The result is clamped to step_bounds, and any non-positive or
+    undefined ratio falls back to the lower bound.
     """
-    if variant not in _BB_VARIANTS:
-        raise ValueError(f"variant must be one of {_BB_VARIANTS}")
     s = np.asarray(s_prev, dtype=float)
     y = np.asarray(y_prev, dtype=float)
     ss = float(np.sum(s * s))
@@ -138,11 +127,7 @@ def bb_step(s_prev, y_prev, variant, k=0, step_bounds=_DEFAULT_STEP_BOUNDS):
     if ss == 0.0 or yy == 0.0:
         raise ValueError("bb_step needs nonzero s_prev and y_prev")
     lo, hi = step_bounds
-    use_bb1 = variant == "bb1" or (variant == "alternating" and k % 2 == 0)
-    if use_bb1:
-        raw = ss / sy if sy != 0.0 else -1.0
-    else:
-        raw = sy / yy
+    raw = ss / sy if sy != 0.0 else -1.0
     if not np.isfinite(raw) or raw <= 0.0:
         return float(lo)
     return float(min(max(raw, lo), hi))
@@ -222,10 +207,10 @@ def solve(
         if i == 1:
             t = _FIRST_STEP_COEFF / (g + 1.0)
         else:
-            t = bb_step(s_prev, y_prev, cfg.bb_variant, k=i, step_bounds=cfg.step_bounds)
+            t = bb_step(s_prev, y_prev, step_bounds=cfg.step_bounds)
         tol_i = sv.retract_tol(g, i)
         ret_cfg = replace(cfg.retraction, tol=tol_i)
-        window_max = max(objs[-cfg.nonmonotone_window :])
+        window_max = max(objs[-_NONMONOTONE_WINDOW:])
         inner_this = 0
         accepted = False
         for halvings in range(_MAX_HALVINGS + 1):

@@ -172,18 +172,11 @@ def iap_step(M, R):
     return mf.project_affine(M, mf.linearized_project(M, R))
 
 
-def _slice_solve(M, C, rhs, schur_path):
-    """Solve (I_s - (C C^T) o S) mu = rhs with S = A_B^T (A A^T)^{-1} A_B = U U^T,
-    U the cached low-rank factor, through mf.schur_solve with unit diagonal."""
-    try:
-        return mf.schur_solve(np.ones(C.shape[0]), C, M.affine.low_rank_factor, rhs, schur_path)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSchur(f"slice system singular: {exc}") from exc
-
-
 def newton_slra_step(M, R, schur_path="auto"):
     """Project R onto M1 intersected with the tangent slice of M2 at
-    project_binary(R). Quadratically convergent near the intersection."""
+    Rt = project_binary(R): mf.project_slice with unit d, E = None (R is
+    already on M1) and h_i = <R_i - Rt_i, c_i>. Quadratically convergent
+    near the intersection."""
     R = np.asarray(R, dtype=float)
     scale = np.linalg.norm(R) + 1.0
     if np.linalg.norm(mf.affine_residual(M, R)) > 1e-8 * scale:
@@ -191,11 +184,11 @@ def newton_slra_step(M, R, schur_path="auto"):
     Rt = mf.project_binary(M, R)
     B = M.binary_rows
     C = mf.row_normals(M, Rt)  # unit rows since Rt is on M2
-    g = np.einsum("ij,ij->i", R[B] - Rt[B], C)
-    mu = _slice_solve(M, C, g, schur_path)
-    AB = M.affine.A[:, B]
-    Lam = -M.affine.gram_solve(AB @ (mu[:, None] * C))
-    return R - M.affine.A.T @ Lam - mf._embed_binary(M, mu, C)
+    h = np.einsum("ij,ij->i", R[B] - Rt[B], C)
+    try:
+        return mf.project_slice(M, R, C, np.ones(M.dims.s), h, path=schur_path)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSchur(f"slice system singular: {exc}") from exc
 
 
 def relaxed_newton_slra_step(M, R):
@@ -223,19 +216,18 @@ def relaxed_newton_slra_step(M, R):
 
 
 def aphl_step(M, R, schur_path="auto"):
-    """Cancel the affine residual by a correction that is tangent to every
-    row sphere, then re-project onto M2. Iterates stay on M2; the affine
-    residual decays quadratically near the intersection."""
+    """Cancel the affine residual E by a correction that is tangent to every
+    row sphere (mf.project_slice with unit d, that E and h = 0), then
+    re-project onto M2. Iterates stay on M2; the affine residual decays
+    quadratically near the intersection."""
     R = np.asarray(R, dtype=float)
-    A = M.affine.A
-    B = M.binary_rows
     E = mf.affine_residual(M, R)
     C = mf.row_normals(M, R)
-    AB = A[:, B]
-    h = np.einsum("ij,ij->i", AB.T @ M.affine.gram_solve(E), C)
-    mu = _slice_solve(M, C, h, schur_path)
-    Lam = M.affine.gram_solve(E + AB @ (mu[:, None] * C))
-    Rtil = R - A.T @ Lam + mf._embed_binary(M, mu, C)
+    s = M.dims.s
+    try:
+        Rtil = mf.project_slice(M, R, C, np.ones(s), np.zeros(s), E=E, path=schur_path)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSchur(f"slice system singular: {exc}") from exc
     return mf.project_binary(M, Rtil)
 
 

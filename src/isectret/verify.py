@@ -122,17 +122,15 @@ class SphereExpansion:
 
 
 def default_t_grid() -> np.ndarray:
-    """15 logarithmically spaced step scales in [1e-7, 1e-5].
+    """15 logarithmically spaced step scales in [10^-3.5, 10^-2].
 
-    This window cannot resolve a third-order tangential error in float64.
-    At t <= 1e-5 the C t^3 signal sits below the plateau floor
-    1e-13 * (||x|| + 1): on the gen_qkp(50, 0.5, 42) lift it reaches only
-    ~9e-13 against a floor of 1.5e-10. For small t the start point x + t eta
-    already meets the 1e-12 tolerance, so retract returns it unchanged and
-    the error is exactly 0. Pass a grid such as np.logspace(-3.5, -2.0, 15)
-    to measure the tangential slope.
+    The window keeps the third-order tangential error C t^3 above the
+    plateau floor 1e-13 (||x||_F + 1) while t stays small enough for the
+    slopes to be asymptotic. Much smaller steps (t <= 1e-5) leave the
+    tangential error below that floor, or exactly 0 where x + t eta already
+    meets the 1e-12 tolerance.
     """
-    return np.logspace(-7.0, -5.0, 15)
+    return np.logspace(-3.5, -2.0, 15)
 
 
 def sphere_project(x: np.ndarray) -> np.ndarray:
@@ -198,10 +196,7 @@ def order_slope(M, kind, x, eta, t_grid=None):
     and the error against the tangent ray x + t eta is decomposed. Evaluation
     order is the grid order; repeated runs are bit-identical. A retraction
     failure is re-raised with the offending t on the exception's t_value.
-
-    The default grid (default_t_grid, [1e-7, 1e-5]) leaves the tangential
-    fit without points above the plateau floor, so it raises
-    InsufficientTail; a window near [3.16e-4, 1e-2] resolves both slopes.
+    t_grid defaults to default_t_grid().
     """
     t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:

@@ -232,6 +232,21 @@ class TestVerifyOrder:
         assert cli.run(base + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_default_window_resolves_both_slopes(self, qkp_file, tmp_path):
+        out = tmp_path / "vo.csv"
+        argv = [
+            "verify-order", "--instance", qkp_file,
+            "--kinds", "newton-slra,aphl", "--out", str(out),
+        ]
+        assert cli.run(argv) == 0
+        _, rows = read_csv(str(out))
+        assert len(rows) == 30
+        assert float(rows[0][1]) == pytest.approx(10**-3.5, rel=1e-12)
+        assert float(rows[14][1]) == pytest.approx(1e-2, rel=1e-12)
+        for block in (rows[0:15], rows[15:30]):
+            assert 1.8 <= float(block[0][4]) <= 2.2
+            assert 2.7 <= float(block[0][5]) <= 3.3
+
     def test_below_plateau_grid_exits_two(self, qkp_file, tmp_path, capsys):
         argv = [
             "verify-order", "--instance", qkp_file, "--kinds", "newton-slra",

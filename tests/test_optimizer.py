@@ -151,15 +151,13 @@ def test_gradient_matches_central_differences():
 def test_bb_step_identity():
     rng = np.random.default_rng(0)
     s = rng.standard_normal((6, 2))
-    for variant in ("bb1", "bb2", "alternating"):
-        assert op.bb_step(s, s, variant) == pytest.approx(1.0, rel=1e-15)
+    assert op.bb_step(s, s) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_bb_step_parallel_double():
     rng = np.random.default_rng(1)
     s = rng.standard_normal((5, 3))
-    assert op.bb_step(s, 2 * s, "bb1") == pytest.approx(0.5, rel=1e-15)
-    assert op.bb_step(s, 2 * s, "bb2") == pytest.approx(0.5, rel=1e-15)
+    assert op.bb_step(s, 2 * s) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_bb_step_general_ratios():
@@ -167,40 +165,28 @@ def test_bb_step_general_ratios():
     s = np.array([[1.0], [2.0]])
     y = np.array([[1.0], [1.0]])
     # <s,s> = 5, <s,y> = 3, <y,y> = 2
-    assert op.bb_step(s, y, "bb1") == pytest.approx(5.0 / 3.0, rel=1e-15)
-    assert op.bb_step(s, y, "bb2") == pytest.approx(3.0 / 2.0, rel=1e-15)
-
-
-def test_bb_step_alternating_parity():
-    s = np.array([[1.0], [2.0]])
-    y = np.array([[1.0], [1.0]])
-    assert op.bb_step(s, y, "alternating", k=0) == pytest.approx(5.0 / 3.0)
-    assert op.bb_step(s, y, "alternating", k=1) == pytest.approx(3.0 / 2.0)
-    assert op.bb_step(s, y, "alternating", k=2) == pytest.approx(5.0 / 3.0)
+    assert op.bb_step(s, y) == pytest.approx(5.0 / 3.0, rel=1e-15)
 
 
 def test_bb_step_negative_curvature_falls_to_min():
     s = np.ones((4, 1))
     y = -np.ones((4, 1))
     bounds = (1e-8, 1e2)
-    assert op.bb_step(s, y, "bb1", step_bounds=bounds) == bounds[0]
-    assert op.bb_step(s, y, "bb2", step_bounds=bounds) == bounds[0]
+    assert op.bb_step(s, y, step_bounds=bounds) == bounds[0]
 
 
 def test_bb_step_clamps_to_bounds():
     s = np.array([[1.0]])
-    assert op.bb_step(s, 1e-9 * s, "bb1", step_bounds=(1e-8, 1e2)) == 1e2
-    assert op.bb_step(s, 1e9 * s, "bb1", step_bounds=(1e-8, 1e2)) == 1e-8
+    assert op.bb_step(s, 1e-9 * s, step_bounds=(1e-8, 1e2)) == 1e2
+    assert op.bb_step(s, 1e9 * s, step_bounds=(1e-8, 1e2)) == 1e-8
 
 
 def test_bb_step_rejects_zero_inputs():
     s = np.ones((3, 1))
     with pytest.raises(ValueError):
-        op.bb_step(np.zeros((3, 1)), s, "bb1")
+        op.bb_step(np.zeros((3, 1)), s)
     with pytest.raises(ValueError):
-        op.bb_step(s, np.zeros((3, 1)), "bb2")
-    with pytest.raises(ValueError):
-        op.bb_step(s, s, "bb3")
+        op.bb_step(s, np.zeros((3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +200,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         op.OptimizerConfig(retraction=ret, max_outer=0)
     with pytest.raises(ValueError):
-        op.OptimizerConfig(retraction=ret, bb_variant="bb7")
-    with pytest.raises(ValueError):
         op.OptimizerConfig(retraction=ret, step_bounds=(1.0, 0.5))
     with pytest.raises(ValueError):
         op.OptimizerConfig(retraction=ret, step_bounds=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        op.OptimizerConfig(retraction=ret, nonmonotone_window=0)
     with pytest.raises(ValueError):
         op.OptimizerConfig(retraction=42)
 
@@ -367,13 +349,13 @@ def test_solve_bb_fallback_stall_is_reported_not_hidden():
 
 def test_solve_log_reconstructs_nonmonotone_condition():
     inst, R0 = custom_setup()
-    cfg = config(grad_tol=2e-2, max_outer=100, nonmonotone_window=5)
+    cfg = config(grad_tol=2e-2, max_outer=100)
     report = op.solve(inst, 2, cfg, R0=R0)
     log = report.per_iter_log
     assert len(log) >= 4
     objs = [rec.objective for rec in log]
     for k in range(1, len(log)):
-        window = objs[max(0, k - cfg.nonmonotone_window) : k]
+        window = objs[max(0, k - 5) : k]
         bound = max(window) - 1e-8 * log[k].step * log[k - 1].grad_norm ** 2
         assert objs[k] <= bound + 1e-12 * (1.0 + abs(bound))
 

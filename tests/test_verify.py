@@ -202,8 +202,8 @@ def test_order_slope_insufficient_tail_below_plateau():
 def test_order_slope_default_grid_matches_spec_window():
     grid = vf.default_t_grid()
     assert grid.shape == (15,)
-    assert grid[0] == pytest.approx(1e-7)
-    assert grid[-1] == pytest.approx(1e-5)
+    assert grid[0] == pytest.approx(10**-3.5)
+    assert grid[-1] == pytest.approx(1e-2)
 
 
 def test_order_slope_propagates_failure_with_offending_t(monkeypatch):
