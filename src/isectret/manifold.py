@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, get_lapack_funcs, solve_triangular
 
 from .errors import (
     DegenerateRow,
@@ -31,6 +31,8 @@ __all__ = [
     "binary_residual",
     "affine_residual",
     "combined_residual",
+    "residual_norms",
+    "frobenius_norm",
     "project_affine",
     "project_binary",
     "row_normals",
@@ -71,8 +73,15 @@ class ProblemDims:
 class AffineSystem:
     """The affine factor A R = b e1^T with its cached Gram factorization.
 
-    gram_solve applies (A A^T)^{-1}; low_rank_factor is U with
+    gram_solve applies (A A^T)^{-1} by one LAPACK potrs call on the cached
+    Cholesky factor (scipy's cho_solve makes the same call behind its input
+    checks). A_B is the fancy-indexed copy A[:, binary_cols], kept for the
+    slice and dual solvers; low_rank_factor is U with
     A_B^T (A A^T)^{-1} A_B = U U^T, reused by the Schur-complement solvers.
+
+    Neither gram_solve nor the kernels built on it check their input for
+    NaN or inf: a non-finite input gives a non-finite output. The entry
+    points (retract, tapr, project_tangent, metric_project) check once.
     """
 
     def __init__(self, A: np.ndarray, b_col: np.ndarray, binary_cols: np.ndarray):
@@ -88,13 +97,20 @@ class AffineSystem:
             raise SingularGram(
                 f"A A^T has eigenvalue ratio {w[0]:.3e}/{w[-1]:.3e}; affine rows are rank deficient"
             )
-        self._cho = cho_factor(G, lower=True)
+        self._factor, _ = cho_factor(G, lower=True)
+        (self._potrs,) = get_lapack_funcs(("potrs",), (self._factor,))
+        # a copy, not a view: BLAS takes the same path on it as on A[:, B]
+        self.A_B = A[:, binary_cols]
+        self.A_B.setflags(write=False)
         # U = (L^{-1} A_B)^T so that U U^T = A_B^T (A A^T)^{-1} A_B
-        L = np.tril(self._cho[0])
-        self.low_rank_factor = solve_triangular(L, A[:, binary_cols], lower=True).T
+        L = np.tril(self._factor)
+        self.low_rank_factor = solve_triangular(L, self.A_B, lower=True).T
 
     def gram_solve(self, Y: np.ndarray) -> np.ndarray:
-        return cho_solve(self._cho, Y)
+        X, info = self._potrs(self._factor, Y, lower=True, overwrite_b=False)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return X
 
 
 class IntersectionManifold:
@@ -109,9 +125,20 @@ class IntersectionManifold:
             raise ValueError(f"binary_rows out of bounds for N={A.shape[1]}")
         self.dims = ProblemDims(N=A.shape[1], r=int(r), m_rows=A.shape[0], s=binary_rows.size)
         self.binary_rows = binary_rows
+        # binary_rows as the cheapest index: a slice when the rows are
+        # contiguous (both lifts have arange(s)), else the index array itself
+        lo, hi = int(binary_rows[0]), int(binary_rows[-1]) + 1
+        self.binary_index = slice(lo, hi) if hi - lo == binary_rows.size else binary_rows
         self.affine = AffineSystem(A, b_col, binary_rows)
         self.binary_rows.setflags(write=False)
         self.affine.A.setflags(write=False)
+
+    def binary_block(self, R: np.ndarray) -> np.ndarray:
+        """The rows R[binary_rows] for reading, as a view when binary_index
+        is a slice and R is C-ordered (so never write to it). Otherwise the
+        fancy-indexed copy, which is always C-ordered, so the row reductions
+        that follow see the same layout either way and give the same bits."""
+        return R[self.binary_index] if R.flags.c_contiguous else R[self.binary_rows]
 
     def __repr__(self):
         d = self.dims
@@ -131,53 +158,79 @@ def _check_dims(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     return R
 
 
-def binary_residual(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
-    """Per-row violations h_i = ||R_i||^2 - R_{i,1} over the binary rows."""
-    R = _check_dims(M, R)
-    RB = R[M.binary_rows]
+def frobenius_norm(x: np.ndarray):
+    """np.linalg.norm(x) of a float array by numpy's own fast path, without
+    its dispatch: the same operations in the same order, so the same bits."""
+    x = x.ravel(order="K")
+    return np.sqrt(x.dot(x))
+
+
+def _sphere_violation(RB: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", RB, RB) - RB[:, 0]
 
 
-def affine_residual(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
+def binary_residual(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
+    """Per-row violations h_i = ||R_i||^2 - R_{i,1} over the binary rows."""
     R = _check_dims(M, R)
-    out = M.affine.A @ R
-    out[:, 0] -= M.affine.b_col
-    return out
+    return _sphere_violation(M.binary_block(R))
+
+
+def _affine_gap(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
+    E = M.affine.A @ R
+    E[:, 0] -= M.affine.b_col
+    return E
+
+
+def affine_residual(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
+    return _affine_gap(M, _check_dims(M, R))
+
+
+def residual_norms(M: IntersectionManifold, R: np.ndarray) -> tuple[float, float]:
+    """(combined, ||h||) from one affine residual E = A R - b e1^T and one
+    binary_residual h: combined = sqrt(||E||^2 + ||h||^2) is
+    combined_residual, and ||h|| is what the retraction traces record. The
+    retraction loop takes both from this one pass per step."""
+    R = _check_dims(M, R)
+    E = _affine_gap(M, R)
+    nh = frobenius_norm(_sphere_violation(M.binary_block(R)))
+    return float(np.sqrt(frobenius_norm(E) ** 2 + nh**2)), float(nh)
 
 
 def combined_residual(M: IntersectionManifold, R: np.ndarray) -> float:
     """sqrt(||A R - b e1^T||^2 + ||h||^2), h the binary_residual."""
-    E = affine_residual(M, R)
-    h = binary_residual(M, R)
-    return float(np.sqrt(np.linalg.norm(E) ** 2 + np.linalg.norm(h) ** 2))
+    return residual_norms(M, R)[0]
 
 
 def project_affine(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the affine factor, R - A^T (A A^T)^{-1} (A R - b e1^T)."""
-    E = affine_residual(M, R)
-    return np.asarray(R, dtype=float) - M.affine.A.T @ M.affine.gram_solve(E)
+    R = _check_dims(M, R)
+    return R - M.affine.A.T @ M.affine.gram_solve(_affine_gap(M, R))
+
+
+def _normals(RB: np.ndarray) -> np.ndarray:
+    C = 2.0 * RB
+    C[:, 0] -= 1.0
+    return C
 
 
 def row_normals(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     """Rows c_i = 2 R_i - e1^T for i in B. On M2 these have unit norm."""
     R = _check_dims(M, R)
-    C = 2.0 * R[M.binary_rows]
-    C[:, 0] -= 1.0
-    return C
+    return _normals(M.binary_block(R))
 
 
 def project_binary(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     """Row-wise projection onto the sphere factor; rows outside B pass through."""
     R = _check_dims(M, R)
-    C = row_normals(M, R)
-    nrm = np.linalg.norm(C, axis=1)
-    bad = np.flatnonzero(nrm < _DEGENERATE_TOL)
-    if bad.size:
-        raise DegenerateRow(int(M.binary_rows[bad[0]]))
+    C = _normals(M.binary_block(R))
+    # np.linalg.norm(C, axis=1), computed as numpy computes it
+    nrm = np.sqrt(np.add.reduce(C * C, axis=1))
+    if (nrm < _DEGENERATE_TOL).any():
+        raise DegenerateRow(int(M.binary_rows[np.flatnonzero(nrm < _DEGENERATE_TOL)[0]]))
     out = R.copy()
     rows = 0.5 * (C / nrm[:, None])
     rows[:, 0] += 0.5
-    out[M.binary_rows] = rows
+    out[M.binary_index] = rows
     return out
 
 
@@ -186,15 +239,15 @@ def linearized_project(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     each binary row moves by -(h_i/||c_i||^2) c_i. Agrees with project_binary
     to second order in the distance to M2."""
     R = _check_dims(M, R)
-    C = row_normals(M, R)
+    RB = M.binary_block(R)
+    C = _normals(RB)
     nrm2 = np.einsum("ij,ij->i", C, C)
-    bad = np.flatnonzero(np.sqrt(nrm2) < _DEGENERATE_TOL)
-    if bad.size:
-        i = int(M.binary_rows[bad[0]])
-        raise ZeroNormal(i, float(np.sqrt(nrm2[bad[0]])))
-    h = binary_residual(M, R)
+    if (np.sqrt(nrm2) < _DEGENERATE_TOL).any():
+        k = np.flatnonzero(np.sqrt(nrm2) < _DEGENERATE_TOL)[0]
+        raise ZeroNormal(int(M.binary_rows[k]), float(np.sqrt(nrm2[k])))
+    h = _sphere_violation(RB)
     out = R.copy()
-    out[M.binary_rows] -= (h / nrm2)[:, None] * C
+    out[M.binary_index] -= (h / nrm2)[:, None] * C
     return out
 
 
@@ -251,8 +304,8 @@ def project_slice(
     callers turn it into their own typed error.
     """
     A = M.affine.A
-    B = M.binary_rows
-    AB = A[:, B]
+    B = M.binary_index
+    AB = M.affine.A_B
     rhs = h
     if E is not None:
         rhs = h - np.einsum("ij,ij->i", AB.T @ M.affine.gram_solve(E), C)
@@ -283,6 +336,8 @@ def project_tangent(
     """
     R = _check_dims(M, R)
     v = _check_dims(M, v)
+    if not (np.isfinite(R).all() and np.isfinite(v).all()):
+        raise ValueError("project_tangent needs finite R and v")
     allow = FEASIBILITY_TOL if base_tol is None else float(base_tol)
     res = combined_residual(M, R)
     if res > allow * (np.linalg.norm(R) + 1.0):
@@ -290,7 +345,7 @@ def project_tangent(
             f"base point infeasible: combined residual {res:.3e} exceeds {allow:.0e} * scale"
         )
     C = row_normals(M, R)
-    gv = np.einsum("ij,ij->i", C, v[M.binary_rows])
+    gv = np.einsum("ij,ij->i", C, M.binary_block(v))
     d2 = np.einsum("ij,ij->i", C, C)
     try:
         xi = project_slice(M, v, C, d2, gv, E=M.affine.A @ v)

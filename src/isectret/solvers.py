@@ -182,9 +182,8 @@ def newton_slra_step(M, R, schur_path="auto"):
     if np.linalg.norm(mf.affine_residual(M, R)) > 1e-8 * scale:
         raise ValueError("newton_slra_step needs a base point on the affine set")
     Rt = mf.project_binary(M, R)
-    B = M.binary_rows
     C = mf.row_normals(M, Rt)  # unit rows since Rt is on M2
-    h = np.einsum("ij,ij->i", R[B] - Rt[B], C)
+    h = np.einsum("ij,ij->i", M.binary_block(R) - M.binary_block(Rt), C)
     try:
         return mf.project_slice(M, R, C, np.ones(M.dims.s), h, path=schur_path)
     except np.linalg.LinAlgError as exc:
@@ -237,8 +236,8 @@ def aphl_step(M, R, schur_path="auto"):
 
 def _gwa_weights(M, Y):
     v = np.full(M.dims.N, 2.0)
-    nb = np.linalg.norm(Y[M.binary_rows], axis=1)
-    v[M.binary_rows] = 1.0 / np.maximum(nb, _GWA_WEIGHT_FLOOR)
+    nb = np.linalg.norm(M.binary_block(Y), axis=1)
+    v[M.binary_index] = 1.0 / np.maximum(nb, _GWA_WEIGHT_FLOOR)
     return v
 
 
@@ -247,7 +246,7 @@ def gwa_objective(M, Vprime, gamma, Theta) -> float:
     Y = Vprime + M.affine.A.T @ Theta
     norms = np.linalg.norm(Y, axis=1)
     mask = np.zeros(M.dims.N, dtype=bool)
-    mask[M.binary_rows] = True
+    mask[M.binary_index] = True
     return float(norms[mask].sum() + (norms[~mask] ** 2).sum() + gamma @ Theta[:, 0])
 
 
@@ -275,9 +274,10 @@ def gwa_newton_iterate(M, Vprime, gamma, Theta, schur_path="auto"):
     forms that s x s matrix, "smw" factors an (m r) x (m r) Woodbury core
     instead, "auto" picks by size."""
     A = M.affine.A
-    B = M.binary_rows
+    B = M.binary_index
     Y = Vprime + A.T @ Theta
-    nb = np.linalg.norm(Y[B], axis=1)
+    YB = M.binary_block(Y)
+    nb = np.linalg.norm(YB, axis=1)
     if np.min(nb) < _GWA_WEIGHT_FLOOR:
         raise ValueError("a binary row of Y vanished; Newton system undefined")
     v = np.full(M.dims.N, 2.0)
@@ -289,9 +289,9 @@ def gwa_newton_iterate(M, Vprime, gamma, Theta, schur_path="auto"):
         L0 = np.linalg.cholesky(M0)
     except np.linalg.LinAlgError as exc:
         raise SingularSchur(f"weighted Gram not positive definite: {exc}") from exc
-    U0 = sla.solve_triangular(L0, A[:, B], lower=True).T
+    U0 = sla.solve_triangular(L0, M.affine.A_B, lower=True).T
     G0 = sla.solve_triangular(L0, grad, lower=True)
-    C = np.sqrt(v[B])[:, None] * (Y[B] / nb[:, None])  # sqrt(v_B) Yhat
+    C = np.sqrt(v[B])[:, None] * (YB / nb[:, None])  # sqrt(v_B) Yhat
     rhs = np.einsum("ij,ij->i", U0 @ G0, C)  # sqrt(v_B) beta0
     try:
         gam = mf.schur_solve(np.ones(M.dims.s), C, U0, rhs, schur_path)
@@ -316,6 +316,8 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
     if tol <= 0.0 or maxiter < 1:
         raise ValueError("tol must be positive and maxiter >= 1")
     V = np.asarray(V, dtype=float)
+    if not np.isfinite(V).all():
+        raise ValueError("metric_project needs a finite V")
     A = M.affine.A
     Vp = V.copy()
     Vp[:, 0] -= 0.5
@@ -374,20 +376,22 @@ def _validate_base_and_tangent(M, x, eta, base_tol=None):
     eta = np.asarray(eta, dtype=float)
     if x.shape != (M.dims.N, M.dims.r) or eta.shape != x.shape:
         raise ValueError("x and eta must both have shape (N, r)")
+    if not (np.isfinite(x).all() and np.isfinite(eta).all()):
+        raise ValueError("x and eta must be finite")
     allow = mf.FEASIBILITY_TOL if base_tol is None else float(base_tol)
     if mf.combined_residual(M, x) > allow * (np.linalg.norm(x) + 1.0):
         raise ValueError("base point x is not on the manifold within tolerance")
     esc = np.linalg.norm(eta) + 1.0
     if np.linalg.norm(M.affine.A @ eta) > 1e-8 * esc:
         raise ValueError("eta violates the linearized affine constraints")
-    dots = np.einsum("ij,ij->i", mf.row_normals(M, x), eta[M.binary_rows])
+    dots = np.einsum("ij,ij->i", mf.row_normals(M, x), M.binary_block(eta))
     if dots.size and np.max(np.abs(dots)) > 1e-8 * esc:
         raise ValueError("eta violates the linearized row-sphere constraints")
     return x, eta
 
 
 def _bound(tol, tol_absolute, Y):
-    return tol if tol_absolute else tol * (np.linalg.norm(Y) + 1.0)
+    return tol if tol_absolute else tol * (mf.frobenius_norm(Y) + 1.0)
 
 
 def _iterate(M, V, kind, advance, tol, tol_absolute, maxiter, init_tag, start=None, res=None):
@@ -395,26 +399,29 @@ def _iterate(M, V, kind, advance, tol, tol_absolute, maxiter, init_tag, start=No
     bound, else runs start (retry index 0) and then advance(y, res, i) ->
     (y, res, tag) for i = 1..maxiter until the bound holds. Raises
     MaxIterExceeded carrying the partial result when the budget runs out.
-    res, when given, is V's combined residual, already computed."""
+
+    res is always the pair mf.residual_norms(M, y) = (combined residual,
+    ||h||) of the current point: advance receives y's and returns y's new
+    one, computed once per step, and the bound test and the trace both read
+    it. res, when given here, is V's pair, already computed."""
     trace = IterTrace()
     if res is None:
-        res = mf.combined_residual(M, V)
-    trace.record(init_tag, res, np.linalg.norm(mf.binary_residual(M, V)), 0.0, 0.0)
-    if res <= _bound(tol, tol_absolute, V):
+        res = mf.residual_norms(M, V)
+    trace.record(init_tag, res[0], res[1], 0.0, 0.0)
+    if res[0] <= _bound(tol, tol_absolute, V):
         return RetractionResult(point=V, converged=True, trace=trace, kind=kind)
     y = V
     if start is not None:
         y = _step_with_retry(start, V, 0)
-        res = mf.combined_residual(M, y)
+        res = mf.residual_norms(M, y)
     for i in range(1, maxiter + 1):
         t0 = time.perf_counter()
         y_new, res, tag = advance(y, res, i)
         trace.record(
-            tag, res, np.linalg.norm(mf.binary_residual(M, y_new)), np.linalg.norm(y_new - y),
-            time.perf_counter() - t0,
+            tag, res[0], res[1], mf.frobenius_norm(y_new - y), time.perf_counter() - t0
         )
         y = y_new
-        if res <= _bound(tol, tol_absolute, y):
+        if res[0] <= _bound(tol, tol_absolute, y):
             return RetractionResult(point=y, converged=True, trace=trace, kind=kind)
     raise MaxIterExceeded(
         f"retraction ({kind.value}) missed tol {tol:g} in {maxiter} iterations",
@@ -456,7 +463,7 @@ def retract(M, x, eta, cfg: RetractionConfig, base_tol=None) -> RetractionResult
             # dual tolerance sits below the primal target so the recovered
             # point clears the residual bound
             point = metric_project(M, y, method=method, tol=cfg.tol * 1e-2, maxiter=cfg.maxiter)
-            return point, mf.combined_residual(M, point), kind.value
+            return point, mf.residual_norms(M, point), kind.value
 
         return _iterate(M, V, kind, project, cfg.tol, cfg.tol_absolute, 1, "init")
 
@@ -473,15 +480,15 @@ def retract(M, x, eta, cfg: RetractionConfig, base_tol=None) -> RetractionResult
         tag = kind.value
         try:
             y_new = _step_with_retry(step, y, i)
-            res_new = mf.combined_residual(M, y_new)
+            res_new = mf.residual_norms(M, y_new)
         except VanishingDirection:
             if kind is not RetractionKind.RelaxedNewtonSLRA:
                 raise
-            y_new, res_new, tag = None, np.inf, "apm-fallback"
-        if kind in _NEWTON_FAMILY and res_new > res:
+            y_new, res_new, tag = None, (np.inf, np.inf), "apm-fallback"
+        if kind in _NEWTON_FAMILY and res_new[0] > res[0]:
             # the local guarantees failed; take one safe sweep instead
             y_new = _step_with_retry(lambda R: apm_step(M, R), y, i)
-            res_new = mf.combined_residual(M, y_new)
+            res_new = mf.residual_norms(M, y_new)
             tag = "apm-fallback"
         return y_new, res_new, tag
 
@@ -504,35 +511,38 @@ def tapr(
     x, eta = _validate_base_and_tangent(M, x, eta, base_tol=base_tol)
     a2 = params.a2 if params.a2 is not None else min(params.a1, tol * 1e3)
     V = x + eta
-    err = mf.combined_residual(M, V)
-    if err > params.a0:
-        raise InitialResidualTooLarge(err, params.a0)
+    res = mf.residual_norms(M, V)
+    if res[0] > params.a0:
+        raise InitialResidualTooLarge(res[0], params.a0)
     phase = "apm"
 
-    def advance(y, err, i):
+    def advance(y, res, i):
+        # res = (err, ||h||) of y; a reject returns y with its res unchanged
         nonlocal phase
+        err = res[0]
         if phase == "apm":
             y = _step_with_retry(lambda R: apm_step(M, R), y, i)
-            err = mf.combined_residual(M, y)
-            if err < params.a1:
+            res = mf.residual_norms(M, y)
+            if res[0] < params.a1:
                 phase = "iap"
-            return y, err, "apm"
+            return y, res, "apm"
         if phase == "iap":
             probe = _step_with_retry(lambda R: iap_step(M, R), y, i)
-            err_probe = mf.combined_residual(M, probe)
+            res_probe = mf.residual_norms(M, probe)
+            err_probe = res_probe[0]
             slow = err_probe**2 > (1.0 - params.mu0) * err**2
             if err_probe**2 <= (1.0 - params.mu1) * err**2:
-                y, err, tag = probe, err_probe, "iap"
+                y, res, tag = probe, res_probe, "iap"
             else:
                 tag, phase = "iap-reject", "apm"
-            if err <= a2 or slow:
+            if res[0] <= a2 or slow:
                 phase = "newton"
-            return y, err, tag
+            return y, res, tag
         probe = _step_with_retry(lambda R: newton_slra_step(M, R), y, i)
-        err_probe = mf.combined_residual(M, probe)
-        if err_probe**2 <= (1.0 - params.mu2) * err**2:
-            return probe, err_probe, "newton"
+        res_probe = mf.residual_norms(M, probe)
+        if res_probe[0] ** 2 <= (1.0 - params.mu2) * err**2:
+            return probe, res_probe, "newton"
         phase = "iap"
-        return y, err, "newton-reject"
+        return y, res, "newton-reject"
 
-    return _iterate(M, V, RetractionKind.TAPR, advance, tol, tol_absolute, maxiter, "apm", res=err)
+    return _iterate(M, V, RetractionKind.TAPR, advance, tol, tol_absolute, maxiter, "apm", res=res)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from test_solvers import tangent_kkt_oracle
+from scipy.linalg import cho_factor, cho_solve
+from test_solvers import spoiled, tangent_kkt_oracle
 
 from isectret import manifold as mf
 from isectret import problems as pb
@@ -292,6 +293,16 @@ def test_project_tangent_rejects_infeasible_base():
         mf.project_tangent(M, R, np.zeros_like(R))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_project_tangent_rejects_nonfinite_input(value):
+    M = decoupled_manifold(seed=34)
+    R = feasible_point(M, seed=7)
+    v = np.random.default_rng(35).standard_normal(R.shape)
+    for bad_R, bad_v in ((spoiled(R, value), v), (R, spoiled(v, value))):
+        with pytest.raises(ValueError):
+            mf.project_tangent(M, bad_R, bad_v)
+
+
 # ---------------------------------------------------------------------------
 # linearized_project
 
@@ -428,3 +439,91 @@ def test_combined_residual_zero_iff_feasible():
     assert mf.combined_residual(M, R) < 1e-9
     R[0, 0] += 0.1
     assert mf.combined_residual(M, R) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the fast kernels, bit for bit against the formulas they replace
+
+
+def parity_cases():
+    """The QKP n=50 and a QAP p=8 lift, each at a point off its vertex, and
+    a few probes there: the point, a perturbed copy, its Fortran-ordered
+    copy (the binary block of a non-C-ordered array is not a view) and a
+    standard normal draw."""
+    for M, R in (
+        lifted_point(pb.lift_qkp(pb.gen_qkp(50, 0.5, 42)), seed=7),
+        lifted_point(qap_lift(8), seed=8),
+    ):
+        rng = np.random.default_rng(M.dims.N)
+        noise = rng.standard_normal(R.shape)
+        yield M, [R, R + 1e-3 * noise, np.asfortranarray(R + 1e-3 * noise), noise]
+
+
+def test_gram_solve_matches_cho_solve_bit_for_bit():
+    for M, probes in parity_cases():
+        A = M.affine.A
+        factor = cho_factor(A @ A.T, lower=True)
+        for X in probes:
+            for Y in (A @ X, mf.affine_residual(M, X), A @ X[:, :1]):
+                assert M.affine.gram_solve(Y).tobytes() == cho_solve(factor, Y).tobytes()
+
+
+def test_residual_norms_match_the_two_residuals_bit_for_bit():
+    for M, probes in parity_cases():
+        for X in probes:
+            E = mf.affine_residual(M, X)
+            XB = X[M.binary_rows]
+            h = np.einsum("ij,ij->i", XB, XB) - XB[:, 0]
+            combined = float(np.sqrt(np.linalg.norm(E) ** 2 + np.linalg.norm(h) ** 2))
+            assert mf.residual_norms(M, X) == (combined, float(np.linalg.norm(h)))
+            assert mf.combined_residual(M, X) == combined
+
+
+def test_cached_binary_columns_are_the_fancy_indexed_copy():
+    for M, _ in parity_cases():
+        fresh = M.affine.A[:, M.binary_rows]
+        assert M.affine.A_B.tobytes() == fresh.tobytes()
+        # a copy with the fresh copy's layout, not a view of A: BLAS may take
+        # another path on a view and change the bits downstream
+        assert M.affine.A_B.strides == fresh.strides
+        assert not np.shares_memory(M.affine.A_B, M.affine.A)
+
+
+def fancy_row_kernels(M, R):
+    """row_normals, binary_residual, project_binary and linearized_project
+    written out with the index array binary_rows."""
+    B = M.binary_rows
+    RB = R[B]
+    C = 2.0 * RB
+    C[:, 0] -= 1.0
+    h = np.einsum("ij,ij->i", RB, RB) - RB[:, 0]
+    P = R.copy()
+    rows = 0.5 * (C / np.linalg.norm(C, axis=1)[:, None])
+    rows[:, 0] += 0.5
+    P[B] = rows
+    L = R.copy()
+    L[B] -= (h / np.einsum("ij,ij->i", C, C))[:, None] * C
+    return C, h, P, L
+
+
+@pytest.mark.parametrize(
+    "rows, index",
+    [([2, 3, 4], slice(2, 5)), ([1, 3, 4], None)],
+    ids=["contiguous-offset", "scattered"],
+)
+def test_row_kernels_match_fancy_indexing_bit_for_bit(rows, index):
+    # the lifts' binary rows all start at row 0; rows [2, 3, 4] of N = 8
+    # take the slice path at a nonzero start, rows [1, 3, 4] the array path
+    rng = np.random.default_rng(61)
+    M = mf.IntersectionManifold(rng.standard_normal((2, 8)), rng.standard_normal(2), rows, r=9)
+    if index is None:
+        assert M.binary_index is M.binary_rows
+    else:
+        assert M.binary_index == index
+    R = rng.standard_normal((8, 9))
+    for X in (R, np.asfortranarray(R)):
+        C, h, P, L = fancy_row_kernels(M, X)
+        assert mf.row_normals(M, X).tobytes() == C.tobytes()
+        assert mf.binary_residual(M, X).tobytes() == h.tobytes()
+        assert mf.project_binary(M, X).tobytes() == P.tobytes()
+        assert mf.linearized_project(M, X).tobytes() == L.tobytes()

@@ -754,6 +754,63 @@ def test_metric_project_maxiter():
 
 
 # ---------------------------------------------------------------------------
+# finite-input guards: the kernels do not check for NaN or inf, the entry
+# points do, once, before any step runs
+
+
+def spoiled(X, value):
+    """X with one entry, in binary row 1, set to value."""
+    X = X.copy()
+    X[1, 1] = value
+    return X
+
+
+def count_completed_steps(monkeypatch):
+    """Rebind every step map, dual update and metric_project in solvers to a
+    wrapper that logs each call that returns. A step that raises is not
+    logged, so the list stays empty both when an entry point rejects its
+    input and when the first step fails inside."""
+    done = []
+    for name in (
+        "apm_step", "iap_step", "newton_slra_step", "relaxed_newton_slra_step", "aphl_step",
+        "gwa_iterate", "gwa_newton_iterate", "metric_project",
+    ):
+        def counted(*args, _fn=getattr(sv, name), _name=name, **kwargs):
+            out = _fn(*args, **kwargs)
+            done.append(_name)
+            return out
+
+        monkeypatch.setattr(sv, name, counted)
+    return done
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_retract_and_tapr_reject_nonfinite_input_before_any_step(monkeypatch, value):
+    M, x = coupled_setup()
+    eta = 0.1 * unit_tangent(M, x, seed=31)
+    done = count_completed_steps(monkeypatch)
+    for bad_x, bad_eta in ((spoiled(x, value), eta), (x, spoiled(eta, value))):
+        for kind in sv.RetractionKind:
+            cfg = sv.RetractionConfig(kind=kind, tol=1e-10, maxiter=50)
+            with pytest.raises(ValueError):
+                sv.retract(M, bad_x, bad_eta, cfg)
+        with pytest.raises(ValueError):
+            sv.tapr(M, bad_x, bad_eta, sv.TaprParams(), tol=1e-10, maxiter=50)
+    assert done == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_metric_project_rejects_nonfinite_input_before_any_step(monkeypatch, value):
+    M, x = coupled_setup()
+    V = spoiled(x + 0.1 * unit_tangent(M, x, seed=32), value)
+    done = count_completed_steps(monkeypatch)
+    for method in ("gwa", "gwa-newton"):
+        with pytest.raises(ValueError):
+            sv.metric_project(M, V, method=method)
+    assert done == []
+
+
+# ---------------------------------------------------------------------------
 # retract driver
 
 
