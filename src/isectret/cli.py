@@ -20,9 +20,8 @@ Output files are written atomically (temp file in the same directory, then
 rename) and only after the computation has finished, so a failing run never
 leaves a partial file. Data CSVs are deterministic: fixed column order,
 floats formatted with repr (shortest round-trip), no timestamps. Wall-clock
-timing is isolated in the optional --timing-out file. Bench cells may run
-concurrently (ISECT_THREADS, default 1) but row order is always the nested
-instances/kinds/repeats order.
+timing is isolated in the optional --timing-out file. Bench rows follow the
+nested instances/kinds/repeats order.
 
 Constructive start points are first-order stationary for these objectives,
 so verify-order measures at a base point moved by 0.5 along a seeded unit
@@ -38,7 +37,6 @@ import io
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -252,40 +250,23 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     kinds = _parse_kinds(args.kinds)
-    try:
-        workers = int(os.environ.get("ISECT_THREADS", "1"))
-    except ValueError:
-        raise UsageError("ISECT_THREADS must be a positive integer")
-    if workers < 1:
-        raise UsageError("ISECT_THREADS must be a positive integer")
     insts = [_load_instance(path) for path in args.instances.split(",")]
-    cells = [
-        (inst, kind, rep)
-        for inst in insts
-        for kind in kinds
-        for rep in range(args.repeats)
-    ]
-
-    def run_cell(cell):
-        inst, kind, rep = cell
-        start = time.perf_counter()
-        try:
-            report = _solve_cell(inst, kind, args)
-            status, payload = "ok", report
-        except IsectError as err:
-            # a failing cell is a benchmark result, not a crash
-            status, payload = type(err).__name__, None
-        return status, payload, time.perf_counter() - start
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_cell, cells))
-
     rows = []
     timing_rows = []
-    for (inst, kind, rep), (status, report, wall) in zip(cells, results):
-        tail = [""] * 5 if report is None else _report_cells(report)
-        rows.append([inst.meta["name"], kind.value, rep, status] + tail)
-        timing_rows.append([inst.meta["name"], kind.value, rep, wall])
+    for inst in insts:
+        name = inst.meta["name"]
+        for kind in kinds:
+            for rep in range(args.repeats):
+                start = time.perf_counter()
+                try:
+                    tail = _report_cells(_solve_cell(inst, kind, args))
+                    status = "ok"
+                except IsectError as err:
+                    # a failing cell is a benchmark result, not a crash
+                    status, tail = type(err).__name__, [""] * 5
+                wall = time.perf_counter() - start
+                rows.append([name, kind.value, rep, status] + tail)
+                timing_rows.append([name, kind.value, rep, wall])
     _write_csv(args.out, _BENCH_HEADER, rows)
     if args.timing_out is not None:
         _write_csv(

@@ -10,7 +10,6 @@ __all__ = [
     "IsectError",
     "SingularGram",
     "DegenerateRow",
-    "ZeroNormal",
     "TangentSolveSingular",
     "NonProjector",
     "SingularSchur",
@@ -36,22 +35,15 @@ class SingularGram(IsectError):
 class DegenerateRow(IsectError):
     """A binary row sits at the center of its sphere, 2 R_i = e1^T.
 
-    The row projection is multivalued there. Callers may perturb the row
-    and retry; the drivers in solvers.py do this once automatically.
+    The row normal c_i = 2 R_i - e1^T vanishes there, so the row projection
+    is multivalued and the linearized constraint is undefined. Callers may
+    perturb the row and retry; the drivers in solvers.py do this once
+    automatically.
     """
 
     def __init__(self, row: int):
         self.row = row
         super().__init__(f"degenerate binary row {row}: 2*R[{row},:] equals e1^T")
-
-
-class ZeroNormal(IsectError):
-    """A row normal c_i = 2 R_i - e1^T has vanishing norm; the linearized
-    constraint is undefined there."""
-
-    def __init__(self, row: int, norm: float):
-        self.row = row
-        super().__init__(f"row {row} normal has norm {norm:.3e} < 1e-14")
 
 
 class TangentSolveSingular(IsectError):

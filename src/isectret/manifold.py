@@ -20,7 +20,6 @@ from .errors import (
     NonProjector,
     SingularGram,
     TangentSolveSingular,
-    ZeroNormal,
 )
 
 __all__ = [
@@ -242,9 +241,9 @@ def linearized_project(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     RB = M.binary_block(R)
     C = _normals(RB)
     nrm2 = np.einsum("ij,ij->i", C, C)
-    if (np.sqrt(nrm2) < _DEGENERATE_TOL).any():
-        k = np.flatnonzero(np.sqrt(nrm2) < _DEGENERATE_TOL)[0]
-        raise ZeroNormal(int(M.binary_rows[k]), float(np.sqrt(nrm2[k])))
+    small = np.sqrt(nrm2) < _DEGENERATE_TOL
+    if small.any():
+        raise DegenerateRow(int(M.binary_rows[np.flatnonzero(small)[0]]))
     h = _sphere_violation(RB)
     out = R.copy()
     out[M.binary_index] -= (h / nrm2)[:, None] * C

@@ -233,7 +233,8 @@ def solve(
             )
         bound = tol_i if ret_cfg.tol_absolute else tol_i * (np.linalg.norm(target) + 1.0)
         R_new = out.point
-        res = float(mf.combined_residual(M, R_new))
+        # the retraction trace ends with residual_norms of the point it returns
+        res = out.trace.combined[-1]
         slack = _base_slack(res, R_new)
         xi_new, g_new = _riemannian_grad(M, R_new, gradient(inst, R_new), base_tol=slack)
         s_prev = R_new - R

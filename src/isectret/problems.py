@@ -209,15 +209,6 @@ def _lift_affine(A: np.ndarray, b: np.ndarray):
     return Ap, np.concatenate([b, b])
 
 
-def _check_lift_rank(Ap: np.ndarray, name: str):
-    w = np.linalg.eigvalsh(Ap @ Ap.T)
-    if w[0] <= 1e-10 * w[-1]:
-        raise ValueError(
-            f"{name}: lifted constraint rows are rank deficient "
-            f"(eigenvalue ratio {w[0]:.3e}/{w[-1]:.3e})"
-        )
-
-
 def lift_qap(inst: QapInstance, r: int | None = None) -> ProblemInstance:
     """Lifts min tr(W X D X^T) over permutations to the manifold form.
 
@@ -229,7 +220,6 @@ def lift_qap(inst: QapInstance, r: int | None = None) -> ProblemInstance:
     e = np.ones(p)
     A = np.vstack([np.kron(e[None, :], np.eye(p)), np.kron(np.eye(p), e[None, :])])
     Ap, bp = _lift_affine(A, np.ones(2 * p))
-    _check_lift_rank(Ap, inst.name)
     if r is None:
         r = initial_rank(n)
     M = IntersectionManifold(Ap, bp, binary_rows=np.arange(n), r=r)
@@ -282,7 +272,6 @@ def lift_qkp(inst: QkpInstance, r: int | None = None) -> ProblemInstance:
     n = inst.n
     a = inst.a.astype(float)
     Ap, bp = _lift_affine(a[None, :], np.array([inst.tau]))
-    _check_lift_rank(Ap, f"qkp seed {inst.seed}")
     if r is None:
         r = initial_rank(n)
     M = IntersectionManifold(Ap, bp, binary_rows=np.arange(n), r=r)

@@ -41,7 +41,6 @@ from .errors import (
     SingularGram,
     SingularSchur,
     VanishingDirection,
-    ZeroNormal,
 )
 
 __all__ = [
@@ -355,7 +354,7 @@ def _step_with_retry(step, y, iteration):
     here carries the iteration index."""
     try:
         return step(y)
-    except (DegenerateRow, ZeroNormal) as first:
+    except DegenerateRow as first:
         rng = np.random.default_rng(7_654_321 + iteration)
         bump = rng.standard_normal(y.shape[1])
         bump *= 1e-12 / np.linalg.norm(bump)

@@ -50,7 +50,6 @@ _TAIL_FLOOR = 1e-13
 _MIN_FIT_POINTS = 4
 _SLOPE_TOL = 1e-12
 _SLOPE_MAXITER = 400_000
-_RATE_MODES = ("linear", "quadratic")
 
 
 @dataclass(frozen=True)
@@ -88,15 +87,15 @@ class RateFit:
 
     linear_factor is the geometric mean of the last-5 successive ratios;
     quadratic_constant the geometric mean of r_{k+1} / r_k^2 over the tail.
-    max_ratio (linear mode) and quadratic_spread (quadratic mode, max/min of
+    max_ratio (the largest of those ratios) and quadratic_spread (max/min of
     the constant estimates) qualify the headline numbers.
     """
 
     residuals: np.ndarray
     linear_factor: float
     quadratic_constant: float
-    max_ratio: float | None = None
-    quadratic_spread: float | None = None
+    max_ratio: float
+    quadratic_spread: float
 
     def __post_init__(self):
         res = np.asarray(self.residuals, dtype=float)
@@ -227,15 +226,13 @@ def order_slope(M, kind, x, eta, t_grid=None):
     )
 
 
-def rate_fit(trace, mode: str) -> RateFit:
+def rate_fit(trace) -> RateFit:
     """Linear/quadratic rate estimates from a residual sequence.
 
     Accepts an IterTrace (its combined-residual log is used) or a bare
     residual sequence. The tail is the subsequence above 1e-13; at least 4
     tail points are required.
     """
-    if mode not in _RATE_MODES:
-        raise ValueError(f"mode must be one of {_RATE_MODES}, got {mode!r}")
     if isinstance(trace, sv.IterTrace):
         res = np.asarray(trace.combined, dtype=float)
     else:
@@ -252,19 +249,11 @@ def rate_fit(trace, mode: str) -> RateFit:
         )
     ratios = tail[1:] / tail[:-1]
     last = ratios[-5:]
-    linear_factor = float(np.exp(np.mean(np.log(last))))
     consts = tail[1:] / tail[:-1] ** 2
-    quadratic_constant = float(np.exp(np.mean(np.log(consts))))
-    if mode == "linear":
-        return RateFit(
-            residuals=res,
-            linear_factor=linear_factor,
-            quadratic_constant=quadratic_constant,
-            max_ratio=float(np.max(last)),
-        )
     return RateFit(
         residuals=res,
-        linear_factor=linear_factor,
-        quadratic_constant=quadratic_constant,
+        linear_factor=float(np.exp(np.mean(np.log(last)))),
+        quadratic_constant=float(np.exp(np.mean(np.log(consts)))),
+        max_ratio=float(np.max(last)),
         quadratic_spread=float(np.max(consts) / np.min(consts)),
     )

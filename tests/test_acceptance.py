@@ -168,7 +168,7 @@ def test_criterion_03_apm_linear_rate():
     eta = 1e-2 * ts.unit_tangent(M, x, seed=15)
     cfg = sv.RetractionConfig(kind=K.APM, tol=1e-12, maxiter=4000, tol_absolute=True)
     out = sv.retract(M, x, eta, cfg)
-    fit = vf.rate_fit(np.asarray(out.trace.binary), "linear")
+    fit = vf.rate_fit(np.asarray(out.trace.binary))
     ok = fit.max_ratio < 1.0 and fit.linear_factor < 0.99
     _report(3, ok, f"max ratio {fit.max_ratio:.3f}, tau-hat {fit.linear_factor:.3f}")
     assert fit.max_ratio < 1.0
@@ -427,8 +427,7 @@ def test_criterion_11_projection_and_tangent_invariants():
     _report(11, True, "2 instances x 200 points, all invariants held")
 
 
-def test_criterion_12_deterministic_outputs(tmp_path, monkeypatch):
-    monkeypatch.setenv("ISECT_THREADS", "1")
+def test_criterion_12_deterministic_outputs(tmp_path):
     gen_a, gen_b = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (gen_a, gen_b):
         rc = cli.run(["gen-qkp", "--n", "6", "--density", "0.5", "--seed", "3",

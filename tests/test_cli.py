@@ -3,8 +3,8 @@
 Everything goes through cli.run(argv) so exit codes and stderr diagnostics
 are exercised exactly as a shell user would see them. Exit code contract:
 0 success, 1 usage or input-file error, 2 numerical failure. Data files
-must be byte-identical across runs and thread counts; wall-clock timing
-only ever lands in the separate --timing-out file.
+must be byte-identical across runs; wall-clock timing only ever lands in
+the separate --timing-out file.
 """
 
 import csv
@@ -362,12 +362,10 @@ class TestBench:
                 assert float(r[5]) > 0.0
                 assert int(r[6]) <= 40
 
-    def test_bytes_invariant_under_thread_count(self, qap_file, qkp_file, tmp_path, monkeypatch):
+    def test_bytes_identical_across_runs(self, qap_file, qkp_file, tmp_path):
         a = tmp_path / "a.csv"
-        monkeypatch.setenv("ISECT_THREADS", "1")
         assert cli.run(self.bench_argv(qap_file, qkp_file, a)) == 0
         b = tmp_path / "b.csv"
-        monkeypatch.setenv("ISECT_THREADS", "3")
         assert cli.run(self.bench_argv(qap_file, qkp_file, b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -382,12 +380,6 @@ class TestBench:
             (r[0], r[1], r[2]) for r in rows
         ]
         assert all(float(r[3]) > 0.0 for r in trows)
-
-    def test_bad_thread_env_is_usage_error(self, qap_file, qkp_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ISECT_THREADS", "many")
-        rc = cli.run(self.bench_argv(qap_file, qkp_file, tmp_path / "b.csv"))
-        assert rc == 1
-        assert "ISECT_THREADS" in capsys.readouterr().err
 
 
 class TestProject:

@@ -6,7 +6,7 @@ from test_solvers import spoiled, tangent_kkt_oracle
 from isectret import manifold as mf
 from isectret import problems as pb
 from isectret import solvers as sv
-from isectret.errors import DegenerateRow, NonProjector, ZeroNormal
+from isectret.errors import DegenerateRow, NonProjector
 
 
 def line_manifold(r=1):
@@ -324,8 +324,9 @@ def test_linearized_project_frozen_value():
 def test_linearized_project_zero_normal():
     M = line_manifold(r=2)
     R = np.array([[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ZeroNormal):
+    with pytest.raises(DegenerateRow) as exc:
         mf.linearized_project(M, R)
+    assert exc.value.row == 0
 
 
 def test_linearized_project_second_order_agreement():

@@ -231,7 +231,7 @@ def test_order_slope_propagates_failure_with_offending_t(monkeypatch):
 
 def test_rate_fit_exact_geometric_sequence():
     res = 0.5 ** np.arange(20)
-    fit = vf.rate_fit(res, "linear")
+    fit = vf.rate_fit(res)
     assert fit.linear_factor == pytest.approx(0.5, abs=1e-12)
     assert fit.max_ratio == pytest.approx(0.5, abs=1e-12)
 
@@ -240,7 +240,7 @@ def test_rate_fit_exact_quadratic_sequence():
     res = [0.1]
     for _ in range(4):
         res.append(res[-1] ** 2)
-    fit = vf.rate_fit(np.array(res), "quadratic")
+    fit = vf.rate_fit(np.array(res))
     assert fit.quadratic_constant == pytest.approx(1.0, abs=1e-10)
     assert fit.quadratic_spread == pytest.approx(1.0, abs=1e-10)
 
@@ -259,7 +259,7 @@ def test_rate_fit_reads_iter_trace():
     with pytest.raises(MaxIterExceeded) as exc:
         sv.retract(M, x, eta, cfg)
     trace = exc.value.result.trace
-    fit = vf.rate_fit(trace, "linear")
+    fit = vf.rate_fit(trace)
     assert fit.linear_factor < 1.0
     assert fit.max_ratio < 1.0
 
@@ -272,7 +272,7 @@ def test_rate_fit_consistent_with_angle_diagnostic():
         kind=sv.RetractionKind.APM, tol=1e-13, maxiter=400, tol_absolute=True
     )
     out = sv.retract(M, x, eta, cfg)
-    fit = vf.rate_fit(out.trace, "linear")
+    fit = vf.rate_fit(out.trace)
 
     N, r = M.dims.N, M.dims.r
     z = out.point
@@ -298,17 +298,12 @@ def test_rate_fit_consistent_with_angle_diagnostic():
 
 def test_rate_fit_insufficient_tail():
     with pytest.raises(InsufficientTail):
-        vf.rate_fit(np.array([1e-2, 1e-14, 1e-15, 1e-16, 1e-17]), "linear")
-
-
-def test_rate_fit_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        vf.rate_fit(0.5 ** np.arange(10), "cubic")
+        vf.rate_fit(np.array([1e-2, 1e-14, 1e-15, 1e-16, 1e-17]))
 
 
 def test_rate_fit_rejects_negative_residuals():
     with pytest.raises(ValueError):
-        vf.rate_fit(np.array([1.0, -0.5, 0.25, 0.1, 0.05]), "linear")
+        vf.rate_fit(np.array([1.0, -0.5, 0.25, 0.1, 0.05]))
 
 
 # ---------------------------------------------------------------------------
