@@ -290,6 +290,8 @@ def _cmd_project(args) -> int:
         raise UsageError(
             f"input point has shape {V.shape}, instance expects {expected}"
         )
+    if not np.isfinite(V).all():
+        raise UsageError(f"input point in {args.input_point} contains nan or inf")
     P = sv.metric_project(M, V, method=args.method)
     lines = [" ".join(repr(float(v)) for v in row) for row in P]
     _atomic_write(args.out, "\n".join(lines) + "\n")

@@ -21,6 +21,7 @@ __all__ = [
     "LineSearchFailed",
     "MalformedFile",
     "AsymmetricMatrix",
+    "ProblemTooLarge",
 ]
 
 
@@ -104,3 +105,17 @@ class MalformedFile(IsectError):
 
 class AsymmetricMatrix(IsectError):
     """A matrix that must be symmetric deviates beyond tolerance."""
+
+
+class ProblemTooLarge(IsectError):
+    """A lift would allocate more dense memory than the library allows.
+    Raised before anything is allocated; carries the size parameter p and
+    the bytes the lift would need."""
+
+    def __init__(self, p: int, nbytes: int, limit: int):
+        self.p = p
+        self.nbytes = nbytes
+        super().__init__(
+            f"QAP lift at p={p} needs {nbytes} bytes of dense objective, above the "
+            f"{limit}-byte limit"
+        )

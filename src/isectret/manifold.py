@@ -112,6 +112,16 @@ class AffineSystem:
         return X
 
 
+def _row_index(rows: np.ndarray):
+    """rows as the cheapest index: a slice when they are contiguous (or
+    empty), else the index array itself. Both select the same rows in the
+    same order."""
+    if rows.size == 0:
+        return slice(0, 0)
+    lo, hi = int(rows[0]), int(rows[-1]) + 1
+    return slice(lo, hi) if hi - lo == rows.size else rows
+
+
 class IntersectionManifold:
     def __init__(self, A, b_col, binary_rows, r: int):
         binary_rows = np.asarray(binary_rows, dtype=np.intp)
@@ -124,10 +134,11 @@ class IntersectionManifold:
             raise ValueError(f"binary_rows out of bounds for N={A.shape[1]}")
         self.dims = ProblemDims(N=A.shape[1], r=int(r), m_rows=A.shape[0], s=binary_rows.size)
         self.binary_rows = binary_rows
-        # binary_rows as the cheapest index: a slice when the rows are
-        # contiguous (both lifts have arange(s)), else the index array itself
-        lo, hi = int(binary_rows[0]), int(binary_rows[-1]) + 1
-        self.binary_index = slice(lo, hi) if hi - lo == binary_rows.size else binary_rows
+        self.binary_index = _row_index(binary_rows)
+        # the rows outside B, in increasing order (both lifts: slice(s, N))
+        free = np.setdiff1d(np.arange(A.shape[1]), binary_rows)
+        free.setflags(write=False)
+        self.free_index = _row_index(free)
         self.affine = AffineSystem(A, b_col, binary_rows)
         self.binary_rows.setflags(write=False)
         self.affine.A.setflags(write=False)

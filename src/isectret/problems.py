@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AsymmetricMatrix, MalformedFile
+from .errors import AsymmetricMatrix, MalformedFile, ProblemTooLarge
 from .manifold import IntersectionManifold, combined_residual
 
 __all__ = [
@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
+
+# most bytes lift_qap may allocate for its dense objective: the N x N Qlift
+# plus the p^4 kron(D, W) temporary (p=8 needs ~0.1 MB, p=100 ~1.7 GB)
+_QAP_LIFT_BYTES = 2**30
 
 
 def _splitmix64(x: int):
@@ -214,9 +218,15 @@ def lift_qap(inst: QapInstance, r: int | None = None) -> ProblemInstance:
 
     Variables are vec(X) in column-major order, so the quadratic form is
     kron(D, W) and the assignment equalities are [kron(e^T, I); kron(I, e^T)].
+    Raises ProblemTooLarge, before allocating anything, when the dense
+    objective (N x N with N = p^2 + 4p, plus its p^4 kron temporary) would
+    exceed 2^30 bytes.
     """
     p = inst.p
     n = p * p
+    nbytes = 8 * (n + 4 * p) ** 2 + 8 * p**4
+    if nbytes > _QAP_LIFT_BYTES:
+        raise ProblemTooLarge(p, nbytes, _QAP_LIFT_BYTES)
     e = np.ones(p)
     A = np.vstack([np.kron(e[None, :], np.eye(p)), np.kron(np.eye(p), e[None, :])])
     Ap, bp = _lift_affine(A, np.ones(2 * p))

@@ -12,7 +12,9 @@ cheap step map from V = x + eta:
  - aphl_step: dissolve the affine block into a correction along the sphere
    tangents (iterates live on M2),
  - gwa_iterate / gwa_newton_iterate: dual ascent for the exact metric
-   projection, wrapped by metric_project.
+   projection, wrapped by metric_project. gwa_iterate solves its weighted
+   Gram system by one LAPACK posv call (_pos_solve), bit-identical to
+   scipy.linalg.solve(..., assume_a="pos") and with the same checks.
 
 One loop, _iterate, runs every retraction: it records the start, tests the
 residual bound, records each step (phase tag, residuals, step norm, wall
@@ -25,7 +27,9 @@ safeguards). retract() picks the policy from one config.
 
 from __future__ import annotations
 
+import functools
 import time
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -65,6 +69,10 @@ __all__ = [
 
 # weight floor for the dual iteration; keeps A Diag(v) A^T bounded
 _GWA_WEIGHT_FLOOR = 1e-12
+
+# the LAPACK routines of the dual step's weighted-Gram solve, looked up once
+_POSV, _POCON, _LANGE = sla.get_lapack_funcs(("posv", "pocon", "lange"), (np.empty((1, 1)),))
+_EPS = np.finfo(float).eps
 
 
 class RetractionKind(Enum):
@@ -235,7 +243,9 @@ def aphl_step(M, R, schur_path="auto"):
 
 def _gwa_weights(M, Y):
     v = np.full(M.dims.N, 2.0)
-    nb = np.linalg.norm(M.binary_block(Y), axis=1)
+    YB = M.binary_block(Y)
+    # np.linalg.norm(YB, axis=1), computed as numpy computes it
+    nb = np.sqrt(np.add.reduce(YB * YB, axis=1))
     v[M.binary_index] = 1.0 / np.maximum(nb, _GWA_WEIGHT_FLOOR)
     return v
 
@@ -243,24 +253,67 @@ def _gwa_weights(M, Y):
 def gwa_objective(M, Vprime, gamma, Theta) -> float:
     """Dual objective sum_B ||Y_i|| + sum_notB ||Y_i||^2 + <gamma, Theta e1>."""
     Y = Vprime + M.affine.A.T @ Theta
-    norms = np.linalg.norm(Y, axis=1)
-    mask = np.zeros(M.dims.N, dtype=bool)
-    mask[M.binary_index] = True
-    return float(norms[mask].sum() + (norms[~mask] ** 2).sum() + gamma @ Theta[:, 0])
+    norms = np.sqrt(np.add.reduce(Y * Y, axis=1))
+    return float(
+        norms[M.binary_index].sum() + (norms[M.free_index] ** 2).sum() + gamma @ Theta[:, 0]
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_mask(m):
+    """The read-only m x m mask of the upper triangle, diagonal included."""
+    mask = np.triu(np.ones((m, m), dtype=bool))
+    mask.setflags(write=False)
+    return mask
+
+
+def _pos_solve(G, rhs):
+    """G^{-1} rhs for a symmetric positive definite G read from its upper
+    triangle, by the one LAPACK posv call sla.solve(G, rhs, assume_a="pos")
+    makes, so with the same bits, and with its checks: ValueError on NaN or
+    inf, SingularGram where the Cholesky factorization breaks down (or a
+    1 x 1 G, divided out directly, is zero), and a LinAlgWarning when
+    pocon's reciprocal condition estimate is below eps. The result is
+    C-ordered like sla.solve's: posv's Fortran-ordered one takes another
+    BLAS path in later dot products (gwa_objective's gamma @ Theta[:, 0])
+    and can change their last bit."""
+    if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if G.size == 1:
+        if G.item() == 0:
+            raise SingularGram("weighted Gram singular in dual update: 1 x 1 Gram is zero")
+        return rhs / G
+    # pocon needs the 1-norm of the symmetric matrix that G's upper triangle
+    # stands for (what LAPACK's lansy computes; scipy does not export it)
+    anorm = _LANGE("1", np.where(_upper_mask(G.shape[0]), G, G.T))
+    c, x, info = _POSV(G, rhs, lower=False)
+    if info > 0:
+        raise SingularGram(
+            f"weighted Gram singular in dual update: leading minor {info} not positive"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of posv")
+    rcond, _ = _POCON(c, anorm)
+    if rcond < _EPS:
+        warnings.warn(
+            f"ill-conditioned weighted Gram in dual update: rcond = {rcond}",
+            sla.LinAlgWarning,
+            stacklevel=3,
+        )
+    return np.ascontiguousarray(x)
 
 
 def gwa_iterate(M, Vprime, gamma, Theta):
-    """One weighted-least-squares (Weiszfeld) update of the dual variable."""
+    """One weighted-least-squares (Weiszfeld) update of the dual variable:
+    Theta = -(A Diag(v) A^T)^{-1} (A Diag(v) V' + gamma e1^T), v the GWA
+    weights at Y = V' + A^T Theta, solved by _pos_solve."""
     A = M.affine.A
     Y = Vprime + A.T @ Theta
     v = _gwa_weights(M, Y)
     Gv = A @ (v[:, None] * A.T)
     rhs = A @ (v[:, None] * Vprime)
     rhs[:, 0] += gamma
-    try:
-        return -sla.solve(Gv, rhs, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram(f"weighted Gram singular in dual update: {exc}") from exc
+    return -_pos_solve(Gv, rhs)
 
 
 def gwa_newton_iterate(M, Vprime, gamma, Theta, schur_path="auto"):
@@ -327,8 +380,8 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
     for _ in range(maxiter):
         nxt = step(M, Vp, gamma, Theta)
         g_nxt = gwa_objective(M, Vp, gamma, nxt)
-        change = np.linalg.norm(nxt - Theta)
-        done = change <= tol * (np.linalg.norm(Theta) + 1.0) and g_nxt <= g_cur + 1e-12 * (
+        change = mf.frobenius_norm(nxt - Theta)
+        done = change <= tol * (mf.frobenius_norm(Theta) + 1.0) and g_nxt <= g_cur + 1e-12 * (
             abs(g_cur) + 1.0
         )
         Theta, g_cur = nxt, g_nxt

@@ -440,6 +440,21 @@ class TestProject:
         assert "MaxIterExceeded" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_input_is_usage_error(self, qkp_file, tmp_path, capsys, value):
+        inst = pb.lift_qkp(pb.parse_qkp(open(qkp_file).read()))
+        pt_file, V = self.write_point(inst, tmp_path)
+        V[1, 1] = float(value)
+        np.savetxt(pt_file, V)
+        out = tmp_path / "p.txt"
+        for method in ("gwa", "gwa-newton"):
+            argv = ["project", "--instance", qkp_file, "--method", method,
+                    "--input-point", pt_file, "--out", str(out)]
+            assert cli.run(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and "nan or inf" in err
+            assert not out.exists()
+
     def test_wrong_shape_input_is_usage_error(self, qap_file, tmp_path, capsys):
         pt_file = tmp_path / "v.txt"
         np.savetxt(pt_file, np.zeros((2, 2)))

@@ -7,13 +7,14 @@ module under test.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from isectret import manifold as mf
 from isectret import problems as pb
-from isectret.errors import AsymmetricMatrix, MalformedFile
+from isectret.errors import AsymmetricMatrix, IsectError, MalformedFile, ProblemTooLarge
 
 # ---------------------------------------------------------------------------
 # PRNG stream
@@ -226,6 +227,25 @@ def test_lift_qap_full_row_rank():
     A = prob.manifold.affine.A
     w = np.linalg.eigvalsh(A @ A.T)
     assert w[0] > 1e-10 * w[-1]
+
+
+def test_lift_qap_refuses_a_dense_objective_above_its_byte_limit():
+    p = 110
+    inst = pb.QapInstance(p=p, W=np.zeros((p, p)), D=np.zeros((p, p)), name="big")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProblemTooLarge) as info:
+            pb.lift_qap(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Qlift is N x N with N = p^2 + 4p, plus the p^4 kron(D, W) temporary
+    assert info.value.p == p
+    assert info.value.nbytes == 8 * (p * p + 4 * p) ** 2 + 8 * p**4
+    assert isinstance(info.value, IsectError)
+    assert peak < 2**20  # refused before any lift array was allocated
+    prob = pb.lift_qap(_qap_instance(8))
+    assert prob.Qlift.shape == (96, 96)
 
 
 # ---------------------------------------------------------------------------

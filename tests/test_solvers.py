@@ -6,8 +6,11 @@ solver. They share no elimination structure with the implementation, so
 agreement validates the Schur-complement and Woodbury paths.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from isectret import manifold as mf
 from isectret import optimizer as op
@@ -17,6 +20,7 @@ from isectret.errors import (
     DegenerateRow,
     InitialResidualTooLarge,
     MaxIterExceeded,
+    SingularGram,
     SingularSchur,
     TangentSolveSingular,
     VanishingDirection,
@@ -653,6 +657,110 @@ def _criterion6_dual_cases():
         Vp, gamma = _dual_data(M, V)
         Theta = 0.1 * rng.standard_normal((m, r))
         yield f"criterion 6 seed {seed}", M, Vp, gamma, Theta
+
+
+def gwa_iterate_oracle(M, Vprime, gamma, Theta):
+    """The dual step with numpy's row norms and scipy's solve wrapper: the
+    weighted Gram system solved by sla.solve(assume_a="pos")."""
+    A = M.affine.A
+    Y = Vprime + A.T @ Theta
+    v = np.full(M.dims.N, 2.0)
+    nb = np.linalg.norm(Y[M.binary_rows], axis=1)
+    v[M.binary_rows] = 1.0 / np.maximum(nb, 1e-12)
+    Gv = A @ (v[:, None] * A.T)
+    rhs = A @ (v[:, None] * Vprime)
+    rhs[:, 0] += gamma
+    return -sla.solve(Gv, rhs, assume_a="pos")
+
+
+def gwa_objective_oracle(M, Vprime, gamma, Theta):
+    """The dual objective with numpy's row norms and a boolean row mask."""
+    Y = Vprime + M.affine.A.T @ Theta
+    norms = np.linalg.norm(Y, axis=1)
+    mask = np.zeros(M.dims.N, dtype=bool)
+    mask[M.binary_rows] = True
+    return float(norms[mask].sum() + (norms[~mask] ** 2).sum() + gamma @ Theta[:, 0])
+
+
+def _lift_dual_cases():
+    """Both lifts (QKP n=10, QAP p=8) at a point 0.3 along a unit tangent
+    plus noise, the dual variable starting at 0 as in metric_project."""
+    rng = np.random.default_rng(91)
+    W = np.triu(rng.integers(0, 10, size=(8, 8)), 1)
+    D = np.triu(rng.integers(1, 10, size=(8, 8)), 1)
+    qap = pb.QapInstance(p=8, W=(W + W.T).astype(float), D=(D + D.T).astype(float), name="q8")
+    lifts = (("qkp lift", pb.lift_qkp(pb.gen_qkp(10, 0.7, 2))), ("qap lift", pb.lift_qap(qap)))
+    for label, prob in lifts:
+        M = prob.manifold
+        x = pb.feasible_init(prob, M.dims.r)
+        V = x + 0.3 * unit_tangent(M, x, seed=5) + 1e-3 * rng.standard_normal(x.shape)
+        yield label, M, *_dual_data(M, V), np.zeros((M.dims.m_rows, M.dims.r))
+
+
+def test_gwa_dual_step_and_objective_match_the_scipy_oracle_bytes():
+    M = decoupled_manifold(seed=11)
+    x = feasible_point(M, seed=11)
+    V = x + 0.05 * unit_tangent(M, x, seed=11)
+    own = ("decoupled", M, *_dual_data(M, V), np.zeros((M.dims.m_rows, M.dims.r)))
+    for label, M, Vp, gamma, Theta in (*_criterion6_dual_cases(), own, *_lift_dual_cases()):
+        for step in range(60):
+            want = gwa_iterate_oracle(M, Vp, gamma, Theta)
+            got = sv.gwa_iterate(M, Vp, gamma, Theta)
+            assert got.flags.c_contiguous, f"{label}, step {step}"
+            assert got.tobytes() == want.tobytes(), f"{label}, step {step}"
+            Theta = got
+            g = sv.gwa_objective(M, Vp, gamma, Theta)
+            assert g == gwa_objective_oracle(M, Vp, gamma, Theta), f"{label}, step {step}"
+
+
+def _solve_outcome(solve, G, rhs):
+    """(error class or None, solution bytes or None, warning classes)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            x = solve(np.array(G, dtype=float), np.array(rhs, dtype=float))
+        except (ValueError, np.linalg.LinAlgError, SingularGram) as err:
+            return type(err), None, [w.category for w in caught]
+    assert x.flags.c_contiguous
+    return None, x.tobytes(), [w.category for w in caught]
+
+
+@pytest.mark.parametrize(
+    "G, rhs, expect",
+    [
+        ([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]], [[1.0, -2.0], [0.5, 0.0], [3.0, 1.0]],
+         None),
+        ([[2.5]], [[1.0, -3.0, 7.0]], None),
+        # only the upper triangle is read: the 1e20 below the diagonal is not
+        ([[4.0, 0.0], [1e20, 3.0]], [[1.0], [2.0]], None),
+        ([[np.nan, 0.0], [0.0, 1.0]], [[1.0], [1.0]], ValueError),
+        ([[1.0, 0.0], [np.nan, 1.0]], [[1.0], [1.0]], ValueError),
+        ([[1.0, 0.0], [0.0, 1.0]], [[np.inf], [1.0]], ValueError),
+        ([[np.inf]], [[1.0]], ValueError),
+        ([[1.0, 2.0], [2.0, 1.0]], [[1.0], [1.0]], SingularGram),
+        ([[1.0, 1e20], [0.0, 1.0]], [[1.0], [1.0]], SingularGram),
+        ([[0.0]], [[1.0, 2.0]], SingularGram),
+        ([[1.0, 0.0], [0.0, 1e-17]], [[1.0], [1.0]], sla.LinAlgWarning),
+        # pocon's estimate is 0 here; scipy warns, it does not raise
+        ([[1.0, 0.0], [0.0, 1e-320]], [[1.0], [1.0]], sla.LinAlgWarning),
+    ],
+    ids=[
+        "spd", "1x1", "upper-only", "nan-upper", "nan-lower", "inf-rhs", "inf-1x1",
+        "indefinite", "indefinite-upper", "zero-1x1", "rcond-below-eps", "rcond-zero",
+    ],
+)
+def test_pos_solve_keeps_the_checks_of_scipy_solve(G, rhs, expect):
+    want_err, want_x, want_warn = _solve_outcome(
+        lambda a, b: sla.solve(a, b, assume_a="pos"), G, rhs
+    )
+    got_err, got_x, got_warn = _solve_outcome(sv._pos_solve, G, rhs)
+    assert got_err is {np.linalg.LinAlgError: SingularGram}.get(want_err, want_err)
+    assert got_x == want_x
+    assert got_warn == want_warn
+    if expect is sla.LinAlgWarning:
+        assert got_err is None and got_warn == [expect]
+    else:
+        assert got_err is expect and got_warn == []
 
 
 def test_gwa_newton_direct_smw_agree():
