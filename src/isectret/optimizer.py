@@ -135,13 +135,13 @@ def bb_step(s_prev, y_prev, step_bounds=_DEFAULT_STEP_BOUNDS):
 
 def _riemannian_grad(M, R, G, base_tol=None):
     xi = mf.project_tangent(M, R, G, base_tol=base_tol).xi
-    return xi, float(np.linalg.norm(xi))
+    return xi, float(mf.frobenius_norm(xi))
 
 
 def _base_slack(res, R):
     # an iterate accepted at schedule tolerance tol_i carries residual up
     # to tol_i * scale; widen the geometry guards to exactly that much
-    return max(mf.FEASIBILITY_TOL, 1.1 * res / (np.linalg.norm(R) + 1.0))
+    return max(mf.FEASIBILITY_TOL, 1.1 * res / (mf.frobenius_norm(R) + 1.0))
 
 
 def _check_start(M, r, R0):
@@ -231,7 +231,7 @@ def solve(
                 f"nonmonotone test rejected {_MAX_HALVINGS} halvings "
                 f"at outer iteration {i}"
             )
-        bound = tol_i if ret_cfg.tol_absolute else tol_i * (np.linalg.norm(target) + 1.0)
+        bound = tol_i if ret_cfg.tol_absolute else tol_i * (mf.frobenius_norm(target) + 1.0)
         R_new = out.point
         # the retraction trace ends with residual_norms of the point it returns
         res = out.trace.combined[-1]

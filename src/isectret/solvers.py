@@ -185,8 +185,8 @@ def newton_slra_step(M, R, schur_path="auto"):
     already on M1) and h_i = <R_i - Rt_i, c_i>. Quadratically convergent
     near the intersection."""
     R = np.asarray(R, dtype=float)
-    scale = np.linalg.norm(R) + 1.0
-    if np.linalg.norm(mf.affine_residual(M, R)) > 1e-8 * scale:
+    scale = mf.frobenius_norm(R) + 1.0
+    if mf.frobenius_norm(mf.affine_residual(M, R)) > 1e-8 * scale:
         raise ValueError("newton_slra_step needs a base point on the affine set")
     Rt = mf.project_binary(M, R)
     C = mf.row_normals(M, Rt)  # unit rows since Rt is on M2
@@ -203,7 +203,7 @@ def relaxed_newton_slra_step(M, R):
     R = np.asarray(R, dtype=float)
     Rt = mf.project_binary(M, R)
     D = R - Rt
-    nD = np.linalg.norm(D)
+    nD = mf.frobenius_norm(D)
     if nD < 1e-14:
         raise VanishingDirection(
             f"displacement norm {nD:.3e} below 1e-14; point already on M2"
@@ -223,15 +223,15 @@ def relaxed_newton_slra_step(M, R):
 
 def aphl_step(M, R, schur_path="auto"):
     """Cancel the affine residual E by a correction that is tangent to every
-    row sphere (mf.project_slice with unit d, that E and h = 0), then
-    re-project onto M2. Iterates stay on M2; the affine residual decays
-    quadratically near the intersection."""
+    row sphere (mf.project_slice with d_i = ||c_i||^2, that E and h = 0),
+    then re-project onto M2. Iterates stay on M2, where d = 1; the affine
+    residual decays quadratically near the intersection."""
     R = np.asarray(R, dtype=float)
     E = mf.affine_residual(M, R)
     C = mf.row_normals(M, R)
-    s = M.dims.s
+    d = np.einsum("ij,ij->i", C, C)
     try:
-        Rtil = mf.project_slice(M, R, C, np.ones(s), np.zeros(s), E=E, path=schur_path)
+        Rtil = mf.project_slice(M, R, C, d, np.zeros(M.dims.s), E=E, path=schur_path)
     except np.linalg.LinAlgError as exc:
         raise SingularSchur(f"slice system singular: {exc}") from exc
     return mf.project_binary(M, Rtil)
@@ -324,14 +324,16 @@ def gwa_newton_iterate(M, Vprime, gamma, Theta, schur_path="auto"):
     I - (C C^T) o (U U^T) with C = sqrt(v_B) Yhat and U = (L0^{-1} A_B)^T,
     L0 the Cholesky factor of M0. schur_path goes to mf.schur_solve: "direct"
     forms that s x s matrix, "smw" factors an (m r) x (m r) Woodbury core
-    instead, "auto" picks by size."""
+    instead, "auto" picks by size. A binary row of Y = V' + A^T Theta that
+    vanishes (row i of V + A^T Theta at its sphere's center) has no weight
+    and raises DegenerateRow."""
     A = M.affine.A
     B = M.binary_index
     Y = Vprime + A.T @ Theta
     YB = M.binary_block(Y)
     nb = np.linalg.norm(YB, axis=1)
     if np.min(nb) < _GWA_WEIGHT_FLOOR:
-        raise ValueError("a binary row of Y vanished; Newton system undefined")
+        raise DegenerateRow(int(M.binary_rows[np.flatnonzero(nb < _GWA_WEIGHT_FLOOR)[0]]))
     v = np.full(M.dims.N, 2.0)
     v[B] = 1.0 / nb
     grad = A @ (v[:, None] * Y)
@@ -388,7 +390,7 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
         if done:
             P = mf.project_binary(M, V + A.T @ Theta)
             res = mf.combined_residual(M, P)
-            if res > tol * (np.linalg.norm(P) + 1.0) and res > mf.combined_residual(M, V):
+            if res > tol * (mf.frobenius_norm(P) + 1.0) and res > mf.combined_residual(M, V):
                 raise MaxIterExceeded(
                     f"dual iteration ({method}) stalled: recovered residual {res:.3e} "
                     "exceeds both its bound and the input's residual"
@@ -431,10 +433,10 @@ def _validate_base_and_tangent(M, x, eta, base_tol=None):
     if not (np.isfinite(x).all() and np.isfinite(eta).all()):
         raise ValueError("x and eta must be finite")
     allow = mf.FEASIBILITY_TOL if base_tol is None else float(base_tol)
-    if mf.combined_residual(M, x) > allow * (np.linalg.norm(x) + 1.0):
+    if mf.combined_residual(M, x) > allow * (mf.frobenius_norm(x) + 1.0):
         raise ValueError("base point x is not on the manifold within tolerance")
-    esc = np.linalg.norm(eta) + 1.0
-    if np.linalg.norm(M.affine.A @ eta) > 1e-8 * esc:
+    esc = mf.frobenius_norm(eta) + 1.0
+    if mf.frobenius_norm(M.affine.A @ eta) > 1e-8 * esc:
         raise ValueError("eta violates the linearized affine constraints")
     dots = np.einsum("ij,ij->i", mf.row_normals(M, x), M.binary_block(eta))
     if dots.size and np.max(np.abs(dots)) > 1e-8 * esc:

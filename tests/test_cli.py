@@ -440,6 +440,24 @@ class TestProject:
         assert "MaxIterExceeded" in err
         assert not out.exists()
 
+    def test_centred_row_exits_two_on_gwa_newton(self, qkp_file, tmp_path, capsys):
+        # binary row 0 at its sphere's center (0.5, 0): the dual Newton step
+        # has no weight for it, while plain gwa floors the weight and runs
+        inst = pb.lift_qkp(pb.parse_qkp(open(qkp_file).read()))
+        V = pb.feasible_init(inst, inst.meta["r"])
+        V[0] = 0.0
+        V[0, 0] = 0.5
+        pt_file = tmp_path / "v.txt"
+        np.savetxt(pt_file, V)
+        for method, code in (("gwa-newton", 2), ("gwa", 0)):
+            out = tmp_path / f"p_{method}.txt"
+            argv = ["project", "--instance", qkp_file, "--method", method,
+                    "--input-point", str(pt_file), "--out", str(out)]
+            assert cli.run(argv) == code, method
+            err = capsys.readouterr().err
+            assert ("DegenerateRow" in err) == (code == 2), err
+            assert out.exists() == (code == 0)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_input_is_usage_error(self, qkp_file, tmp_path, capsys, value):
         inst = pb.lift_qkp(pb.parse_qkp(open(qkp_file).read()))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
-from test_solvers import spoiled, tangent_kkt_oracle
+from test_solvers import aphl_delta_oracle, spoiled, tangent_kkt_oracle
 
 from isectret import manifold as mf
 from isectret import problems as pb
@@ -528,3 +528,134 @@ def test_row_kernels_match_fancy_indexing_bit_for_bit(rows, index):
         assert mf.binary_residual(M, X).tobytes() == h.tobytes()
         assert mf.project_binary(M, X).tobytes() == P.tobytes()
         assert mf.linearized_project(M, X).tobytes() == L.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the Schur solve: Cholesky on both routes, the cached U U^T, the crossover
+
+
+def indefinite_schur_system():
+    """Unit rows with ||U_i||^2 = 4 > 1: S = I - (C C^T) o (U U^T) has a
+    negative diagonal, so neither S nor the Woodbury core is positive
+    definite, although both are nonsingular."""
+    C = np.ones((6, 1))
+    U = np.full((6, 1), 2.0)
+    return np.ones(6), C, U, np.arange(6.0)
+
+
+def singular_schur_system():
+    """S = Diag(0, 1) exactly, and the 1 x 1 Woodbury core is exactly 0."""
+    return np.ones(2), np.ones((2, 1)), np.array([[1.0], [0.0]]), np.ones(2)
+
+
+def nan_schur_system():
+    """S = I - 0.01 * ones, positive definite, but with d[0] = NaN."""
+    d, C, U, rhs = indefinite_schur_system()
+    d[0] = np.nan
+    return d, C, 0.05 * U, rhs
+
+
+@pytest.mark.parametrize("path", ["direct", "smw"])
+@pytest.mark.parametrize(
+    "system", [indefinite_schur_system, singular_schur_system, nan_schur_system],
+    ids=["indefinite", "singular", "nan"],
+)
+def test_schur_solve_refuses_a_system_that_is_not_positive_definite(path, system):
+    d, C, U, rhs = system()
+    rhs_before = rhs.copy()
+    with pytest.raises(np.linalg.LinAlgError):
+        mf.schur_solve(d, C, U, rhs, path)
+    assert rhs.tobytes() == rhs_before.tobytes()
+
+
+def test_schur_solve_matches_a_dense_solve():
+    rng = np.random.default_rng(71)
+    for s, m, r in ((9, 2, 3), (30, 1, 2)):
+        C = rng.standard_normal((s, r))
+        U = np.linalg.qr(rng.standard_normal((s, m)))[0]  # U U^T a projector
+        d = np.einsum("ij,ij->i", C, C) + 0.1
+        rhs = rng.standard_normal(s)
+        S = np.diag(d) - (C @ C.T) * (U @ U.T)
+        want = np.linalg.solve(S, rhs)
+        for path in ("direct", "smw"):
+            got = mf.schur_solve(d, C, U, rhs, path)
+            assert np.allclose(got, want, rtol=1e-10, atol=1e-12), (s, path)
+
+
+def test_row_kron_matches_the_column_block_loop_bit_for_bit():
+    rng = np.random.default_rng(73)
+    for s, m, r in ((1, 1, 1), (5, 2, 3), (40, 2, 8), (64, 16, 2)):
+        C = rng.standard_normal((s, r))
+        U = rng.standard_normal((s, m))
+        loop = np.hstack([C[:, j : j + 1] * U for j in range(r)])
+        W = mf._row_kron(C, U)
+        assert W.shape == loop.shape
+        assert W.tobytes() == loop.tobytes()
+        # the same matrix for a Fortran-ordered U, as low_rank_factor is
+        Uf = np.asfortranarray(U)
+        assert mf._row_kron(C, Uf).tobytes() == loop.tobytes()
+
+
+def test_low_rank_gram_is_the_read_only_product_bit_for_bit():
+    for M, _ in parity_cases():
+        U = M.affine.low_rank_factor
+        G = M.affine.low_rank_gram
+        assert G.tobytes() == (U @ U.T).tobytes()
+        assert G is M.affine.low_rank_gram
+        assert not G.flags.writeable
+        with pytest.raises(ValueError):
+            G[0, 0] = 1.0
+
+
+def slice_solves(M, R):
+    """The three callers of the slice projection at R, on the auto route."""
+    rng = np.random.default_rng(M.dims.N)
+    mf.project_tangent(M, R, rng.standard_normal(R.shape))
+    sv.newton_slra_step(M, mf.project_affine(M, R + 1e-3 * rng.standard_normal(R.shape)))
+    sv.aphl_step(M, mf.project_binary(M, R + 1e-3 * rng.standard_normal(R.shape)))
+
+
+def test_low_rank_gram_is_built_only_by_the_direct_route():
+    # QKP lifts have s / (m r) = 2.5 and take smw; QAP lifts take direct
+    M, R = lifted_point(pb.lift_qkp(pb.gen_qkp(50, 0.5, 42)), seed=7)
+    assert M.dims.s > mf._SMW_RATIO * M.dims.m_rows * M.dims.r
+    slice_solves(M, R)
+    assert "low_rank_gram" not in vars(M.affine)
+    M, R = lifted_point(qap_lift(6), seed=8)
+    assert M.dims.s <= mf._SMW_RATIO * M.dims.m_rows * M.dims.r
+    del M.affine.low_rank_gram  # built while lifted_point retracted
+    slice_solves(M, R)
+    assert "low_rank_gram" in vars(M.affine)
+
+
+def test_auto_route_takes_smw_on_qkp_and_direct_on_qap_bit_for_bit():
+    for M, R, want in (
+        (*lifted_point(pb.lift_qkp(pb.gen_qkp(10, 0.7, 2)), seed=4), "smw"),
+        (*lifted_point(pb.lift_qkp(pb.gen_qkp(50, 0.5, 42)), seed=7), "smw"),
+        (*lifted_point(qap_lift(4), seed=3), "direct"),
+        (*lifted_point(qap_lift(8), seed=8), "direct"),
+    ):
+        C = mf.row_normals(M, R)
+        d = np.einsum("ij,ij->i", C, C)
+        U = M.affine.low_rank_factor
+        rhs = np.random.default_rng(M.dims.N).standard_normal(M.dims.s)
+        auto = mf.schur_solve(d, C, U, rhs)
+        assert auto.tobytes() == mf.schur_solve(d, C, U, rhs, want).tobytes(), repr(M)
+        other = "direct" if want == "smw" else "smw"
+        assert auto.tobytes() != mf.schur_solve(d, C, U, rhs, other).tobytes(), repr(M)
+
+
+@pytest.mark.parametrize("path", ["direct", "smw"])
+def test_aphl_step_off_the_spheres_matches_the_oracle(path):
+    # binary rows off their spheres, as after an APM fallback: the correction
+    # must still be the oracle's, tangent at R, whose Schur system
+    # Diag(||c_i||^2) - (C C^T) o (U U^T) is positive semidefinite; with
+    # d = 1 this point's system is indefinite
+    M, x = lifted_point(pb.lift_qkp(pb.gen_qkp(50, 0.5, 42)), seed=7)
+    R = x + 1e-3 * np.random.default_rng(2).standard_normal(x.shape)
+    C = mf.row_normals(M, R)
+    U = M.affine.low_rank_factor
+    assert np.linalg.eigvalsh(np.eye(M.dims.s) - (C @ C.T) * (U @ U.T))[0] < 0
+    want = mf.project_binary(M, R + aphl_delta_oracle(M, R))
+    got = sv.aphl_step(M, R, schur_path=path)
+    assert np.linalg.norm(got - want) < 1e-9 * (np.linalg.norm(want) + 1.0)

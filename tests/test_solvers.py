@@ -426,6 +426,23 @@ def test_singular_schur_systems_raise_typed_errors(path):
         sv.gwa_newton_iterate(M, R, np.zeros(1), np.zeros((1, 2)), schur_path=path)
 
 
+@pytest.mark.parametrize("path", ["direct", "smw"])
+def test_indefinite_slice_system_raises_singular_schur(path):
+    # U U^T <= I makes every slice system positive semidefinite; with U
+    # doubled it is indefinite (and nonsingular), and the Cholesky solve on
+    # either route must refuse it rather than return a step
+    M = general_manifold(3)
+    R = point_on_m1(M, 3)
+    U = 2.0 * M.affine.low_rank_factor
+    M.affine.low_rank_factor = U
+    vars(M.affine).pop("low_rank_gram", None)
+    C = mf.row_normals(M, mf.project_binary(M, R))
+    S = np.eye(M.dims.s) - (C @ C.T) * (U @ U.T)
+    assert np.linalg.eigvalsh(S)[0] < -0.1
+    with pytest.raises(SingularSchur):
+        sv.newton_slra_step(M, R, schur_path=path)
+
+
 def test_project_tangent_singular_kkt_raises_typed_error():
     M, R = singular_slice_setup()
     with pytest.raises(TangentSolveSingular):
@@ -639,6 +656,20 @@ def test_gwa_newton_zero_direction_at_stationary_point():
         Theta = nxt
     out = sv.gwa_newton_iterate(M, Vp, gamma, Theta)
     assert np.allclose(out, Theta, atol=1e-10 * (np.linalg.norm(Theta) + 1))
+
+
+def test_gwa_newton_reports_a_vanished_binary_row_as_degenerate():
+    # binary row 2 of V at its sphere's center: Y_2 = V'_2 = 0 at Theta = 0
+    M = decoupled_manifold(seed=13)
+    V = feasible_point(M, seed=13)
+    V[2] = 0.0
+    V[2, 0] = 0.5
+    Vp, gamma = _dual_data(M, V)
+    with pytest.raises(DegenerateRow) as err:
+        sv.gwa_newton_iterate(M, Vp, gamma, np.zeros((M.dims.m_rows, M.dims.r)))
+    assert err.value.row == 2
+    with pytest.raises(DegenerateRow):
+        sv.metric_project(M, V, method="gwa-newton")
 
 
 def _criterion6_dual_cases():
