@@ -51,10 +51,8 @@ FEASIBILITY_TOL = 1e-6
 # sphere projection / linearization
 _DEGENERATE_TOL = 1e-14
 
-_SCHUR_PATHS = ("auto", "direct", "smw")
-
-# "auto" takes the Woodbury route when s > _SMW_RATIO * m * r (measured, see
-# schur_solve)
+# schur_solve takes the Woodbury route when s > _SMW_RATIO * m * r (measured,
+# see schur_solve)
 _SMW_RATIO = 1.5
 
 # the LAPACK routine of the Schur solve, looked up once
@@ -305,19 +303,21 @@ def _row_kron(C, U):
     return (C[:, :, None] * U[:, None, :]).reshape(s, r * U.shape[1])
 
 
-def schur_solve(d, C, U, rhs, path="auto", gram=None):
+def schur_solve(d, C, U, rhs, gram=None):
     """Solve (Diag(d) - (C C^T) o (U U^T)) x = rhs for C of shape (s, r) and
     U of shape (s, m).
 
     The matrix equals Diag(d) - W W^T, where row i of W is the outer product
-    of C[i] and U[i] (the row-wise Khatri-Rao product). The "direct" path
-    forms the s x s matrix; the "smw" path applies the Woodbury identity,
-    x = rhs/d + Wd (I - W^T Wd)^{-1} Wd^T rhs with Wd = Diag(d)^{-1} W, and
-    factors only an (m r) x (m r) core. gram, when given, is a zero-argument
-    function that returns U U^T (project_slice passes the cached
-    AffineSystem.low_rank_gram); only the direct path calls it.
+    of C[i] and U[i] (the row-wise Khatri-Rao product). The direct route
+    forms the s x s matrix; the Woodbury (smw) route applies the Woodbury
+    identity, x = rhs/d + Wd (I - W^T Wd)^{-1} Wd^T rhs with
+    Wd = Diag(d)^{-1} W, and factors only an (m r) x (m r) core. The sizes
+    alone pick the route: smw when s > _SMW_RATIO m r, else direct. gram,
+    when given, is a zero-argument function that returns U U^T (project_slice
+    passes the cached AffineSystem.low_rank_gram); only the direct route
+    calls it.
 
-    Both paths factor by Cholesky, since every caller's system is positive
+    Both routes factor by Cholesky, since every caller's system is positive
     semidefinite. U U^T = A_B^T (A A^T)^{-1} A_B <= I, so with
     d = diag(C C^T) (project_tangent, APHL, and NewtonSLRA, whose rows are
     unit and d = 1) the matrix is (C C^T) o (I - U U^T) >= 0 by the Schur product
@@ -330,10 +330,10 @@ def schur_solve(d, C, U, rhs, path="auto", gram=None):
 
     Cost: direct forms C C^T (s^2 r flops, plus s^2 m for U U^T when no
     cached one is passed) and factors the s x s matrix (s^3 / 3); smw forms
-    W^T Wd (s (m r)^2) and factors the core ((m r)^3 / 3). "auto" takes smw
-    when s > 1.5 m r. Measured per solve in microseconds, median of three
-    runs (2-core x86-64 VM, Python 3.11.7, numpy 2.4.6, scipy 1.17.1, one
-    BLAS thread), at a point of each lift; QKP lifts default to r = n/5, so
+    W^T Wd (s (m r)^2) and factors the core ((m r)^3 / 3); _SMW_RATIO = 1.5
+    comes from these times per solve in microseconds, median of three runs
+    (2-core x86-64 VM, Python 3.11.7, numpy 2.4.6, scipy 1.17.1, one BLAS
+    thread), at a point of each lift; QKP lifts default to r = n/5, so
     m r = 2n/5:
 
         lift              s    m r   s/(m r)   direct      smw
@@ -356,13 +356,9 @@ def schur_solve(d, C, U, rhs, path="auto", gram=None):
     """
     s, r = C.shape
     m = U.shape[1]
-    if path == "auto":
-        path = "smw" if s > _SMW_RATIO * m * r else "direct"
-    if path == "direct":
+    if s <= _SMW_RATIO * m * r:
         UUt = U @ U.T if gram is None else gram()
         return _spd_solve(np.diag(d) - (C @ C.T) * UUt, rhs)
-    if path != "smw":
-        raise ValueError(f"schur path must be one of {_SCHUR_PATHS}, got {path!r}")
     W = _row_kron(C, U)
     Wd = W / d[:, None]
     core = np.eye(m * r) - W.T @ Wd
@@ -376,7 +372,6 @@ def project_slice(
     d: np.ndarray,
     h: np.ndarray,
     E: np.ndarray | None = None,
-    path: str = "auto",
 ) -> np.ndarray:
     """Least-norm move of v onto the slice {X : A X = A v - E,
     <c_i, X_i> = <c_i, v_i> - h_i for i in B}, C holding the rows c_i.
@@ -385,9 +380,10 @@ def project_slice(
     zeros elsewhere. Eliminating Lam = (A A^T)^{-1} (E - A_B (mu o C))
     through the cached Gram factor leaves the s x s Schur system
     (Diag(d) - (C C^T) o (U U^T)) mu = h - <c_i, (A_B^T (A A^T)^{-1} E)_i>,
-    solved by schur_solve on path. d is the diagonal of C C^T (ones when the
-    rows are unit normals of points on M2). E = None stands for E = 0 and
-    skips its Gram solve.
+    solved by schur_solve, whose route (direct or Woodbury) follows from the
+    sizes s, m and r alone. d is the diagonal of C C^T (ones when the rows
+    are unit normals of points on M2). E = None stands for E = 0 and skips
+    its Gram solve.
 
     The tangent projector, the NewtonSLRA step and the APHL step are all this
     one projection. A Schur system that is not positive definite raises
@@ -399,9 +395,8 @@ def project_slice(
     rhs = h
     if E is not None:
         rhs = h - np.einsum("ij,ij->i", AB.T @ M.affine.gram_solve(E), C)
-    mu = schur_solve(
-        d, C, M.affine.low_rank_factor, rhs, path, gram=lambda: M.affine.low_rank_gram
-    )
+    U = M.affine.low_rank_factor
+    mu = schur_solve(d, C, U, rhs, gram=lambda: M.affine.low_rank_gram)
     muC = mu[:, None] * C
     Y = AB @ muC
     Lam = -M.affine.gram_solve(Y) if E is None else M.affine.gram_solve(E - Y)

@@ -22,7 +22,9 @@ time) and raises MaxIterExceeded with the partial result. A kind supplies
 only its step policy: a step map above with the Newton family's APM
 fallback, one metric_project call, or tapr's phase machine (APM far out, iAP
 in a moderate neighborhood, NewtonSLRA near the set, with merit-decrease
-safeguards). retract() picks the policy from one config.
+safeguards). retract() picks the policy from one RetractionConfig, the only
+thing that configures a retraction: tapr's thresholds are constants, and
+mf.schur_solve picks its route from the problem sizes.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .errors import (
 __all__ = [
     "RetractionKind",
     "RetractionConfig",
-    "TaprParams",
     "IterTrace",
     "RetractionResult",
     "apm_step",
@@ -74,6 +75,14 @@ _GWA_WEIGHT_FLOOR = 1e-12
 _POSV, _POCON, _LANGE = sla.get_lapack_funcs(("posv", "pocon", "lange"), (np.empty((1, 1)),))
 _EPS = np.finfo(float).eps
 
+# tapr's thresholds: the guard a0 on the start residual, the APM -> iAP
+# switch a1 (a2 = min(a1, tol * 10^3) opens the second-order phase), and the
+# merit factors: an iAP probe is slow above (1 - mu0), accepted within
+# (1 - mu1), and a NewtonSLRA probe accepted within (1 - mu2) of err^2
+_TAPR_A0 = 1.0
+_TAPR_A1 = 1e-2
+_TAPR_MU0, _TAPR_MU1, _TAPR_MU2 = 0.05, 0.1, 0.3
+
 
 class RetractionKind(Enum):
     APM = "apm"
@@ -84,34 +93,6 @@ class RetractionKind(Enum):
     MetricGWA = "metric-gwa"
     MetricGWANewton = "metric-gwa-newton"
     TAPR = "tapr"
-
-
-@dataclass(frozen=True)
-class TaprParams:
-    """Thresholds and merit factors of the three-phase hybrid.
-
-    a2 = None defers to tol * 10^3, resolved when the run starts (and
-    clipped at a1 so the phase ordering stays meaningful). a1 == a2 is
-    allowed: it degenerates the schedule to one iAP trial before the
-    second-order phase.
-    """
-
-    a0: float = 1.0
-    a1: float = 1e-2
-    a2: float | None = None
-    mu0: float = 0.05
-    mu1: float = 0.1
-    mu2: float = 0.3
-
-    def __post_init__(self):
-        if not self.a0 > 0.0:
-            raise ValueError("a0 must be positive")
-        if not 0.0 < self.a1 < 1.0:
-            raise ValueError("a1 must satisfy 1 > a1 > 0")
-        if self.a2 is not None and not 0.0 < self.a2 <= self.a1:
-            raise ValueError("a2 must satisfy a1 >= a2 > 0")
-        if not 0.0 < self.mu0 < self.mu1 <= self.mu2 < 1.0:
-            raise ValueError("need 0 < mu0 < mu1 <= mu2 < 1")
 
 
 @dataclass(frozen=True)
@@ -179,7 +160,7 @@ def iap_step(M, R):
     return mf.project_affine(M, mf.linearized_project(M, R))
 
 
-def newton_slra_step(M, R, schur_path="auto"):
+def newton_slra_step(M, R):
     """Project R onto M1 intersected with the tangent slice of M2 at
     Rt = project_binary(R): mf.project_slice with unit d, E = None (R is
     already on M1) and h_i = <R_i - Rt_i, c_i>. Quadratically convergent
@@ -192,7 +173,7 @@ def newton_slra_step(M, R, schur_path="auto"):
     C = mf.row_normals(M, Rt)  # unit rows since Rt is on M2
     h = np.einsum("ij,ij->i", M.binary_block(R) - M.binary_block(Rt), C)
     try:
-        return mf.project_slice(M, R, C, np.ones(M.dims.s), h, path=schur_path)
+        return mf.project_slice(M, R, C, np.ones(M.dims.s), h)
     except np.linalg.LinAlgError as exc:
         raise SingularSchur(f"slice system singular: {exc}") from exc
 
@@ -221,7 +202,7 @@ def relaxed_newton_slra_step(M, R):
     return R - A.T @ Lam - mu * D
 
 
-def aphl_step(M, R, schur_path="auto"):
+def aphl_step(M, R):
     """Cancel the affine residual E by a correction that is tangent to every
     row sphere (mf.project_slice with d_i = ||c_i||^2, that E and h = 0),
     then re-project onto M2. Iterates stay on M2, where d = 1; the affine
@@ -231,7 +212,7 @@ def aphl_step(M, R, schur_path="auto"):
     C = mf.row_normals(M, R)
     d = np.einsum("ij,ij->i", C, C)
     try:
-        Rtil = mf.project_slice(M, R, C, d, np.zeros(M.dims.s), E=E, path=schur_path)
+        Rtil = mf.project_slice(M, R, C, d, np.zeros(M.dims.s), E=E)
     except np.linalg.LinAlgError as exc:
         raise SingularSchur(f"slice system singular: {exc}") from exc
     return mf.project_binary(M, Rtil)
@@ -316,17 +297,15 @@ def gwa_iterate(M, Vprime, gamma, Theta):
     return -_pos_solve(Gv, rhs)
 
 
-def gwa_newton_iterate(M, Vprime, gamma, Theta, schur_path="auto"):
+def gwa_newton_iterate(M, Vprime, gamma, Theta):
     """Newton update for the dual objective. The Hessian is the weighted
     Gram M0 = A Diag(v) A^T (times I_r) minus a rank-s correction along the
     normalized binary rows Yhat. Woodbury reduces the Newton system to an
     s x s one, which scaling by sqrt(v_B) makes symmetric:
     I - (C C^T) o (U U^T) with C = sqrt(v_B) Yhat and U = (L0^{-1} A_B)^T,
-    L0 the Cholesky factor of M0. schur_path goes to mf.schur_solve: "direct"
-    forms that s x s matrix, "smw" factors an (m r) x (m r) Woodbury core
-    instead, "auto" picks by size. A binary row of Y = V' + A^T Theta that
-    vanishes (row i of V + A^T Theta at its sphere's center) has no weight
-    and raises DegenerateRow."""
+    L0 the Cholesky factor of M0, solved by mf.schur_solve. A binary row of
+    Y = V' + A^T Theta that vanishes (row i of V + A^T Theta at its sphere's
+    center) has no weight and raises DegenerateRow."""
     A = M.affine.A
     B = M.binary_index
     Y = Vprime + A.T @ Theta
@@ -348,7 +327,7 @@ def gwa_newton_iterate(M, Vprime, gamma, Theta, schur_path="auto"):
     C = np.sqrt(v[B])[:, None] * (YB / nb[:, None])  # sqrt(v_B) Yhat
     rhs = np.einsum("ij,ij->i", U0 @ G0, C)  # sqrt(v_B) beta0
     try:
-        gam = mf.schur_solve(np.ones(M.dims.s), C, U0, rhs, schur_path)
+        gam = mf.schur_solve(np.ones(M.dims.s), C, U0, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSchur(f"newton schur system singular: {exc}") from exc
     # delta = M0^{-1} (grad + A_B Diag(gam) C), applied through L0
@@ -493,8 +472,8 @@ _NEWTON_FAMILY = (
 def retract(M, x, eta, cfg: RetractionConfig, base_tol=None) -> RetractionResult:
     """Retraction driver: iterate cfg.kind's step map from x + eta until the
     combined residual meets the bound. Raises MaxIterExceeded (carrying the
-    partial result) when the budget runs out. TAPR goes through tapr() with
-    default TaprParams; the metric kinds take one metric_project step.
+    partial result) when the budget runs out. TAPR goes through tapr(); the
+    metric kinds take one metric_project step.
 
     base_tol widens the feasibility guard on x (relative, default
     FEASIBILITY_TOL) for callers whose base legitimately carries the
@@ -503,11 +482,7 @@ def retract(M, x, eta, cfg: RetractionConfig, base_tol=None) -> RetractionResult
         raise TypeError("cfg must be a RetractionConfig")
     kind = cfg.kind
     if kind is RetractionKind.TAPR:
-        return tapr(
-            M, x, eta, TaprParams(),
-            tol=cfg.tol, maxiter=cfg.maxiter, tol_absolute=cfg.tol_absolute,
-            base_tol=base_tol,
-        )
+        return tapr(M, x, eta, cfg, base_tol=base_tol)
     x, eta = _validate_base_and_tangent(M, x, eta, base_tol=base_tol)
     V = x + eta
     if kind in (RetractionKind.MetricGWA, RetractionKind.MetricGWANewton):
@@ -550,24 +525,21 @@ def retract(M, x, eta, cfg: RetractionConfig, base_tol=None) -> RetractionResult
     return _iterate(M, V, kind, advance, cfg.tol, cfg.tol_absolute, cfg.maxiter, "init", start)
 
 
-def tapr(
-    M, x, eta, params: TaprParams, tol, maxiter, tol_absolute=False, base_tol=None
-) -> RetractionResult:
+def tapr(M, x, eta, cfg: RetractionConfig, base_tol=None) -> RetractionResult:
     """Three-phase retraction: APM until err < a1, then iAP with a
     merit-decrease test, then NewtonSLRA once err <= a2 or an iAP probe
-    stalls. A phase policy run by the retraction loop: rejected trials keep
-    the current point (step norm 0), fall back one phase, and still count
-    against maxiter."""
-    if not isinstance(params, TaprParams):
-        raise TypeError("params must be a TaprParams")
-    if tol < 1e-15 or maxiter < 1:
-        raise ValueError("tol must be >= 1e-15 and maxiter >= 1")
+    stalls (the _TAPR_* thresholds). A phase policy run by the retraction
+    loop: rejected trials keep the current point (step norm 0), fall back
+    one phase, and still count against cfg.maxiter. Takes retract's
+    arguments and ignores cfg.kind."""
+    if not isinstance(cfg, RetractionConfig):
+        raise TypeError("cfg must be a RetractionConfig")
     x, eta = _validate_base_and_tangent(M, x, eta, base_tol=base_tol)
-    a2 = params.a2 if params.a2 is not None else min(params.a1, tol * 1e3)
+    a2 = min(_TAPR_A1, cfg.tol * 1e3)
     V = x + eta
     res = mf.residual_norms(M, V)
-    if res[0] > params.a0:
-        raise InitialResidualTooLarge(res[0], params.a0)
+    if res[0] > _TAPR_A0:
+        raise InitialResidualTooLarge(res[0], _TAPR_A0)
     phase = "apm"
 
     def advance(y, res, i):
@@ -577,15 +549,15 @@ def tapr(
         if phase == "apm":
             y = _step_with_retry(lambda R: apm_step(M, R), y, i)
             res = mf.residual_norms(M, y)
-            if res[0] < params.a1:
+            if res[0] < _TAPR_A1:
                 phase = "iap"
             return y, res, "apm"
         if phase == "iap":
             probe = _step_with_retry(lambda R: iap_step(M, R), y, i)
             res_probe = mf.residual_norms(M, probe)
             err_probe = res_probe[0]
-            slow = err_probe**2 > (1.0 - params.mu0) * err**2
-            if err_probe**2 <= (1.0 - params.mu1) * err**2:
+            slow = err_probe**2 > (1.0 - _TAPR_MU0) * err**2
+            if err_probe**2 <= (1.0 - _TAPR_MU1) * err**2:
                 y, res, tag = probe, res_probe, "iap"
             else:
                 tag, phase = "iap-reject", "apm"
@@ -594,9 +566,11 @@ def tapr(
             return y, res, tag
         probe = _step_with_retry(lambda R: newton_slra_step(M, R), y, i)
         res_probe = mf.residual_norms(M, probe)
-        if res_probe[0] ** 2 <= (1.0 - params.mu2) * err**2:
+        if res_probe[0] ** 2 <= (1.0 - _TAPR_MU2) * err**2:
             return probe, res_probe, "newton"
         phase = "iap"
         return y, res, "newton-reject"
 
-    return _iterate(M, V, RetractionKind.TAPR, advance, tol, tol_absolute, maxiter, "apm", res=res)
+    return _iterate(
+        M, V, RetractionKind.TAPR, advance, cfg.tol, cfg.tol_absolute, cfg.maxiter, "apm", res=res
+    )

@@ -238,16 +238,16 @@ def test_criterion_06_direct_smw_path_agreement():
         rows = np.sort(rng.choice(N, size=s, replace=False))
         M = mf.IntersectionManifold(A, b, binary_rows=rows, r=r)
         R = ts.point_on_m1(M, seed + 500)
-        d = sv.newton_slra_step(M, R, schur_path="direct")
-        w = sv.newton_slra_step(M, R, schur_path="smw")
+        d = ts.on_route("direct", sv.newton_slra_step, M, R)
+        w = ts.on_route("smw", sv.newton_slra_step, M, R)
         rel = np.linalg.norm(d - w) / (np.linalg.norm(d) + 1.0)
         worst = max(worst, rel)
         assert rel < 1e-9, f"seed {seed}, newton_slra_step: {rel:.3e}"
         V = rng.standard_normal((N, r))
         Vp, gamma = ts._dual_data(M, V)
         Theta = 0.1 * rng.standard_normal((m, r))
-        dn = sv.gwa_newton_iterate(M, Vp, gamma, Theta, schur_path="direct")
-        wn = sv.gwa_newton_iterate(M, Vp, gamma, Theta, schur_path="smw")
+        dn = ts.on_route("direct", sv.gwa_newton_iterate, M, Vp, gamma, Theta)
+        wn = ts.on_route("smw", sv.gwa_newton_iterate, M, Vp, gamma, Theta)
         rel = np.linalg.norm(dn - wn) / (np.linalg.norm(dn) + 1.0)
         worst = max(worst, rel)
         assert rel < 1e-9, f"seed {seed}, gwa_newton_iterate: {rel:.3e}"
@@ -343,11 +343,11 @@ def test_criterion_09_sphere_expansion_suite():
 def test_criterion_10_tapr_conformance():
     M, x = ts.qkp_setup(n=12, r=3, seed=6)
     eta = 0.5 * ts.unit_tangent(M, x, seed=29)
-    params = sv.TaprParams()
-    res = sv.tapr(M, x, eta, params, tol=1e-11, maxiter=300, tol_absolute=True)
+    res = sv.tapr(M, x, eta, ts.tapr_cfg(tol=1e-11, maxiter=300, tol_absolute=True))
     assert res.converged
     tags, errs = res.trace.phases, res.trace.combined
-    a2 = min(params.a1, 1e-11 * 1e3)
+    a1, mu0, mu2 = sv._TAPR_A1, sv._TAPR_MU0, sv._TAPR_MU2
+    a2 = min(a1, 1e-11 * 1e3)
 
     # replay the phase machine: transitions exactly at the thresholds
     phase = "apm"
@@ -355,12 +355,12 @@ def test_criterion_10_tapr_conformance():
         tag = tags[k]
         if phase == "apm":
             assert tag == "apm", f"record {k}: expected apm trial, got {tag}"
-            if errs[k] < params.a1:
+            if errs[k] < a1:
                 phase = "iap"
         elif phase == "iap":
             assert tag in ("iap", "iap-reject"), f"record {k}: {tag}"
             if tag == "iap":
-                slow = errs[k] ** 2 > (1.0 - params.mu0) * errs[k - 1] ** 2
+                slow = errs[k] ** 2 > (1.0 - mu0) * errs[k - 1] ** 2
                 if errs[k] <= a2 or slow:
                     phase = "newton"
             else:
@@ -374,11 +374,11 @@ def test_criterion_10_tapr_conformance():
     # accepted second-order steps decrease the squared residual by >= (1-mu2)
     for k, tag in enumerate(tags):
         if tag == "newton" and k >= 1:
-            assert errs[k] ** 2 <= (1.0 - params.mu2) * errs[k - 1] ** 2 + 1e-30
+            assert errs[k] ** 2 <= (1.0 - mu2) * errs[k - 1] ** 2 + 1e-30
 
     # inside the second-order basin the hybrid lands on the NewtonSLRA limit
     eta_small = 1e-3 * ts.unit_tangent(M, x, seed=30)
-    res_small = sv.tapr(M, x, eta_small, params, tol=1e-12, maxiter=300, tol_absolute=True)
+    res_small = sv.tapr(M, x, eta_small, ts.tapr_cfg(tol=1e-12, maxiter=300, tol_absolute=True))
     cfg = sv.RetractionConfig(kind=K.NewtonSLRA, tol=1e-12, maxiter=100, tol_absolute=True)
     ref = sv.retract(M, x, eta_small, cfg)
     basin_gap = np.linalg.norm(res_small.point - ref.point) / (np.linalg.norm(ref.point) + 1.0)

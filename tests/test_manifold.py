@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
-from test_solvers import aphl_delta_oracle, spoiled, tangent_kkt_oracle
+from test_solvers import aphl_delta_oracle, on_route, spoiled, tangent_kkt_oracle
 
 from isectret import manifold as mf
 from isectret import problems as pb
@@ -245,9 +245,10 @@ def qap_lift(p):
 
 
 def small_s_lifts():
-    """QAP p=4 (s=16) and QKP n=10 (s=10) lifts at their default rank: both
-    take the s x s Schur route, and both ran the dense KKT branch by default
-    when project_tangent still had one (s <= 64)."""
+    """QAP p=4 (s=16) and QKP n=10 (s=10) lifts at their default rank. Both
+    ran the dense KKT branch by default when project_tangent still had one
+    (s <= 64); by size, the QAP lift takes the s x s Schur route and the QKP
+    lift (s = 2.5 m r) the Woodbury one."""
     return [
         lifted_point(qap_lift(4), seed=3),
         lifted_point(pb.lift_qkp(pb.gen_qkp(10, 0.7, 2)), seed=4),
@@ -255,22 +256,21 @@ def small_s_lifts():
 
 
 def test_project_tangent_schur_path_matches_dense():
-    # the s x s Schur route against the dense KKT oracle
+    # the s x s Schur route, forced on every case, against the dense KKT
+    # oracle
     M = decoupled_manifold(N=20, s=10, m=3, r=2, seed=31)
     cases = [(M, feasible_point(M, seed=5)), *small_s_lifts()]
     for k, (M, R) in enumerate(cases):
-        assert M.dims.s <= 4 * M.dims.m_rows * M.dims.r
         rng = np.random.default_rng(29 + k)
         v = rng.standard_normal(R.shape)
         dense = tangent_kkt_oracle(M, R, v)
-        schur = mf.project_tangent(M, R, v).xi
+        schur = on_route("direct", mf.project_tangent, M, R, v).xi
         assert np.allclose(dense, schur, atol=1e-10 * (np.linalg.norm(v) + 1)), repr(M)
 
 
 def test_project_tangent_woodbury_subpath_matches_dense():
-    # s large enough that the auto Schur route eliminates via Woodbury
-    # (s > 4 m r): the decoupled instance and the QKP n=20 lift at r=2
-    # (s=20, m=2); the small-s lifts take the s x s route
+    # the Woodbury route, forced on every case, against the dense KKT oracle;
+    # by size (s > 1.5 m r) every case but the QAP p=4 lift takes it anyway
     M = decoupled_manifold(N=90, s=80, m=2, r=3, seed=37)
     cases = [
         (M, feasible_point(M, seed=11)),
@@ -281,8 +281,8 @@ def test_project_tangent_woodbury_subpath_matches_dense():
         rng = np.random.default_rng(41 + k)
         v = rng.standard_normal(R.shape)
         dense = tangent_kkt_oracle(M, R, v)
-        auto = mf.project_tangent(M, R, v).xi
-        assert np.allclose(dense, auto, atol=1e-9 * (np.linalg.norm(v) + 1)), repr(M)
+        smw = on_route("smw", mf.project_tangent, M, R, v).xi
+        assert np.allclose(dense, smw, atol=1e-9 * (np.linalg.norm(v) + 1)), repr(M)
 
 
 def test_project_tangent_rejects_infeasible_base():
@@ -564,7 +564,7 @@ def test_schur_solve_refuses_a_system_that_is_not_positive_definite(path, system
     d, C, U, rhs = system()
     rhs_before = rhs.copy()
     with pytest.raises(np.linalg.LinAlgError):
-        mf.schur_solve(d, C, U, rhs, path)
+        on_route(path, mf.schur_solve, d, C, U, rhs)
     assert rhs.tobytes() == rhs_before.tobytes()
 
 
@@ -578,7 +578,7 @@ def test_schur_solve_matches_a_dense_solve():
         S = np.diag(d) - (C @ C.T) * (U @ U.T)
         want = np.linalg.solve(S, rhs)
         for path in ("direct", "smw"):
-            got = mf.schur_solve(d, C, U, rhs, path)
+            got = on_route(path, mf.schur_solve, d, C, U, rhs)
             assert np.allclose(got, want, rtol=1e-10, atol=1e-12), (s, path)
 
 
@@ -640,9 +640,9 @@ def test_auto_route_takes_smw_on_qkp_and_direct_on_qap_bit_for_bit():
         U = M.affine.low_rank_factor
         rhs = np.random.default_rng(M.dims.N).standard_normal(M.dims.s)
         auto = mf.schur_solve(d, C, U, rhs)
-        assert auto.tobytes() == mf.schur_solve(d, C, U, rhs, want).tobytes(), repr(M)
+        assert auto.tobytes() == on_route(want, mf.schur_solve, d, C, U, rhs).tobytes(), repr(M)
         other = "direct" if want == "smw" else "smw"
-        assert auto.tobytes() != mf.schur_solve(d, C, U, rhs, other).tobytes(), repr(M)
+        assert auto.tobytes() != on_route(other, mf.schur_solve, d, C, U, rhs).tobytes(), repr(M)
 
 
 @pytest.mark.parametrize("path", ["direct", "smw"])
@@ -657,5 +657,5 @@ def test_aphl_step_off_the_spheres_matches_the_oracle(path):
     U = M.affine.low_rank_factor
     assert np.linalg.eigvalsh(np.eye(M.dims.s) - (C @ C.T) * (U @ U.T))[0] < 0
     want = mf.project_binary(M, R + aphl_delta_oracle(M, R))
-    got = sv.aphl_step(M, R, schur_path=path)
+    got = on_route(path, sv.aphl_step, M, R)
     assert np.linalg.norm(got - want) < 1e-9 * (np.linalg.norm(want) + 1.0)

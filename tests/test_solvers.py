@@ -6,6 +6,7 @@ solver. They share no elimination structure with the implementation, so
 agreement validates the Schur-complement and Woodbury paths.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -131,6 +132,20 @@ def singular_slice_setup():
     R = np.array([[1.0, 0.0], [0.5, 0.5], [3.0, -2.0]])
     assert mf.combined_residual(M, R) == 0.0
     return M, R
+
+
+def on_route(route, fn, *args):
+    """fn(*args) with every Schur solve forced onto route, "direct" or
+    "smw", by setting the size crossover mf._SMW_RATIO to inf or 0."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mf, "_SMW_RATIO", {"direct": math.inf, "smw": 0.0}[route])
+        return fn(*args)
+
+
+def tapr_cfg(tol, maxiter, tol_absolute=False):
+    return sv.RetractionConfig(
+        kind=sv.RetractionKind.TAPR, tol=tol, maxiter=maxiter, tol_absolute=tol_absolute
+    )
 
 
 def point_on_m1(M, seed, spread=1.0):
@@ -292,23 +307,6 @@ def test_retract_tol_frozen():
 # config types
 
 
-def test_tapr_params_validation():
-    p = sv.TaprParams()
-    assert p.a0 == 1.0 and p.a1 == 1e-2 and p.a2 is None
-    assert (p.mu0, p.mu1, p.mu2) == (0.05, 0.1, 0.3)
-    sv.TaprParams(a1=0.999, a2=0.999)  # equality allowed (degenerate config)
-    with pytest.raises(ValueError):
-        sv.TaprParams(a1=1e-3, a2=1e-2)  # a1 < a2
-    with pytest.raises(ValueError):
-        sv.TaprParams(a1=1.5)
-    with pytest.raises(ValueError):
-        sv.TaprParams(mu0=0.2, mu1=0.1)
-    with pytest.raises(ValueError):
-        sv.TaprParams(mu2=1.0)
-    with pytest.raises(ValueError):
-        sv.TaprParams(a0=0.0)
-
-
 def test_retraction_config_validation():
     sv.RetractionConfig(kind=sv.RetractionKind.APM)
     with pytest.raises(ValueError):
@@ -416,14 +414,21 @@ def test_newton_slra_output_slices():
     assert np.max(np.abs(slice_res)) < 1e-9 * scale
 
 
+def test_newton_slra_step_rejects_a_point_off_the_affine_set():
+    M = general_manifold(3)
+    R = point_on_m1(M, 3) + M.affine.A.T @ np.ones((M.dims.m_rows, M.dims.r))
+    with pytest.raises(ValueError, match="needs a base point on the affine set"):
+        sv.newton_slra_step(M, R)
+
+
 @pytest.mark.parametrize("path", ["direct", "smw"])
 def test_singular_schur_systems_raise_typed_errors(path):
     M, R = singular_slice_setup()
     with pytest.raises(SingularSchur):
-        sv.newton_slra_step(M, R, schur_path=path)
+        on_route(path, sv.newton_slra_step, M, R)
     # dual point with Y = R: binary row 0 of Y is exactly e1 with weight 1
     with pytest.raises(SingularSchur):
-        sv.gwa_newton_iterate(M, R, np.zeros(1), np.zeros((1, 2)), schur_path=path)
+        on_route(path, sv.gwa_newton_iterate, M, R, np.zeros(1), np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("path", ["direct", "smw"])
@@ -440,20 +445,13 @@ def test_indefinite_slice_system_raises_singular_schur(path):
     S = np.eye(M.dims.s) - (C @ C.T) * (U @ U.T)
     assert np.linalg.eigvalsh(S)[0] < -0.1
     with pytest.raises(SingularSchur):
-        sv.newton_slra_step(M, R, schur_path=path)
+        on_route(path, sv.newton_slra_step, M, R)
 
 
 def test_project_tangent_singular_kkt_raises_typed_error():
     M, R = singular_slice_setup()
     with pytest.raises(TangentSolveSingular):
         mf.project_tangent(M, R, np.ones_like(R))
-
-
-def test_unknown_schur_path_rejected():
-    M = general_manifold(3)
-    R = point_on_m1(M, 3)
-    with pytest.raises(ValueError, match="schur path must be one of"):
-        sv.newton_slra_step(M, R, schur_path="fast")
 
 
 def test_newton_slra_direct_smw_agree():
@@ -464,8 +462,8 @@ def test_newton_slra_direct_smw_agree():
         b = rng.standard_normal(m)
         M = mf.IntersectionManifold(A, b, binary_rows=np.arange(s), r=r)
         R = point_on_m1(M, seed)
-        d = sv.newton_slra_step(M, R, schur_path="direct")
-        w = sv.newton_slra_step(M, R, schur_path="smw")
+        d = on_route("direct", sv.newton_slra_step, M, R)
+        w = on_route("smw", sv.newton_slra_step, M, R)
         scale = np.linalg.norm(d) + 1.0
         assert np.linalg.norm(d - w) < 1e-10 * scale
 
@@ -808,8 +806,8 @@ def test_gwa_newton_direct_smw_agree():
 
     for label, M, Vp, gamma, Theta in (*own_cases(), *_criterion6_dual_cases()):
         want = gwa_newton_kron_oracle(M, Vp, gamma, Theta)
-        d = sv.gwa_newton_iterate(M, Vp, gamma, Theta, schur_path="direct")
-        w = sv.gwa_newton_iterate(M, Vp, gamma, Theta, schur_path="smw")
+        d = on_route("direct", sv.gwa_newton_iterate, M, Vp, gamma, Theta)
+        w = on_route("smw", sv.gwa_newton_iterate, M, Vp, gamma, Theta)
         assert np.linalg.norm(d - w) < 1e-9 * (np.linalg.norm(d) + 1.0), label
         for path, got in (("direct", d), ("smw", w)):
             rel = np.linalg.norm(got - want) / (np.linalg.norm(want) + 1.0)
@@ -934,7 +932,7 @@ def test_retract_and_tapr_reject_nonfinite_input_before_any_step(monkeypatch, va
             with pytest.raises(ValueError):
                 sv.retract(M, bad_x, bad_eta, cfg)
         with pytest.raises(ValueError):
-            sv.tapr(M, bad_x, bad_eta, sv.TaprParams(), tol=1e-10, maxiter=50)
+            sv.tapr(M, bad_x, bad_eta, tapr_cfg(tol=1e-10, maxiter=50))
     assert done == []
 
 
@@ -1028,7 +1026,7 @@ def test_retract_tapr_is_tapr_with_default_params():
         kind=sv.RetractionKind.TAPR, tol=1e-11, maxiter=300, tol_absolute=True
     )
     via_retract = sv.retract(M, x, eta, cfg)
-    direct = sv.tapr(M, x, eta, sv.TaprParams(), tol=1e-11, maxiter=300, tol_absolute=True)
+    direct = sv.tapr(M, x, eta, cfg)
     assert via_retract.converged and via_retract.kind is sv.RetractionKind.TAPR
     assert np.array_equal(via_retract.point, direct.point)
     a, b = via_retract.trace, direct.trace
@@ -1068,6 +1066,31 @@ def test_retract_newton_quadratic_tail():
         assert logs[k] <= 1.9 * logs[k - 1] or logs[k] < -10
 
 
+def test_relaxed_newton_slra_falls_back_to_apm_on_a_vanishing_direction(monkeypatch):
+    # the free rows moved by 1e-3 leave M1 but not M2, so the relaxed
+    # direction R - project_binary(R) vanishes and the driver takes one APM
+    # sweep in its place
+    M, x = qkp_setup(n=10, r=3, seed=2)
+    x[M.free_index] += 1e-3
+    vanished = []
+
+    def step(M, R, _fn=sv.relaxed_newton_slra_step):
+        try:
+            return _fn(M, R)
+        except VanishingDirection as err:
+            vanished.append(err)
+            raise
+
+    monkeypatch.setattr(sv, "relaxed_newton_slra_step", step)
+    cfg = sv.RetractionConfig(
+        kind=sv.RetractionKind.RelaxedNewtonSLRA, tol=1e-12, tol_absolute=True
+    )
+    res = sv.retract(M, x, np.zeros_like(x), cfg, base_tol=1.0)
+    assert res.converged
+    assert res.trace.phases == ["init", "apm-fallback"]
+    assert len(vanished) == 1
+
+
 def test_retract_tol_absolute_flag():
     M = decoupled_manifold(seed=26)
     x = feasible_point(M, seed=26)
@@ -1086,26 +1109,25 @@ def test_retract_tol_absolute_flag():
 
 def test_tapr_zero_eta():
     M, x = qkp_setup(n=10, r=3, seed=2)
-    res = sv.tapr(M, x, np.zeros_like(x), sv.TaprParams(), tol=1e-9, maxiter=50)
+    res = sv.tapr(M, x, np.zeros_like(x), tapr_cfg(tol=1e-9, maxiter=50))
     assert res.converged
     assert np.array_equal(res.point, x)
     # zero steps taken: the only record is the initial one, in the APM phase
     assert res.trace.phases == ["apm"]
 
 
-def test_tapr_initial_residual_guard():
+def test_tapr_initial_residual_guard(monkeypatch):
     M, x = qkp_setup(n=10, r=3, seed=2)
     eta = 5.0 * unit_tangent(M, x, seed=28)
-    params = sv.TaprParams(a0=1e-6)
+    monkeypatch.setattr(sv, "_TAPR_A0", 1e-6)
     with pytest.raises(InitialResidualTooLarge):
-        sv.tapr(M, x, eta, params, tol=1e-9, maxiter=50)
+        sv.tapr(M, x, eta, tapr_cfg(tol=1e-9, maxiter=50))
 
 
 def test_tapr_converges_and_traces_phases():
     M, x = qkp_setup(n=12, r=3, seed=6)
     eta = 0.5 * unit_tangent(M, x, seed=29)
-    params = sv.TaprParams()
-    res = sv.tapr(M, x, eta, params, tol=1e-11, maxiter=300, tol_absolute=True)
+    res = sv.tapr(M, x, eta, tapr_cfg(tol=1e-11, maxiter=300, tol_absolute=True))
     assert res.converged
     assert mf.combined_residual(M, res.point) <= 1e-11
     assert res.trace.phases[0] == "apm"  # initial record, no step yet
@@ -1115,7 +1137,7 @@ def test_tapr_converges_and_traces_phases():
     # iAP trials happen only after err has crossed below a1
     for k in range(1, len(tags)):
         if tags[k].startswith("iap"):
-            assert errs[k - 1] < params.a1
+            assert errs[k - 1] < sv._TAPR_A1
     # the second-order phase is entered at the a2 crossing or on a slow probe
     a2 = 1e-11 * 1e3  # default a2 resolves to tol * 10^3
     first_newton = next((k for k, t in enumerate(tags) if t.startswith("newton")), None)
@@ -1123,13 +1145,13 @@ def test_tapr_converges_and_traces_phases():
     assert errs[first_newton - 1] <= a2 or tags[first_newton - 1] == "iap-reject"
 
 
-def test_tapr_degenerate_thresholds_match_newton_limit():
+def test_tapr_degenerate_thresholds_match_newton_limit(monkeypatch):
     M, x = qkp_setup(n=12, r=3, seed=6)
     # small eta keeps the comparison inside the second-order basin, where the
     # limit maps of the hybrid and of plain NewtonSLRA agree to third order
     eta = 1e-3 * unit_tangent(M, x, seed=30)
-    params = sv.TaprParams(a1=0.999, a2=0.999)
-    res = sv.tapr(M, x, eta, params, tol=1e-12, maxiter=100, tol_absolute=True)
+    monkeypatch.setattr(sv, "_TAPR_A1", 0.999)
+    res = sv.tapr(M, x, eta, tapr_cfg(tol=1e-12, maxiter=100, tol_absolute=True))
     assert res.converged
     # after the first APM iteration the machine moves through one iAP
     # iteration into the second-order phase
@@ -1146,21 +1168,23 @@ def test_tapr_degenerate_thresholds_match_newton_limit():
 def test_tapr_accepted_newton_steps_decrease_merit():
     M, x = qkp_setup(n=12, r=3, seed=6)
     eta = 0.5 * unit_tangent(M, x, seed=31)
-    params = sv.TaprParams()
-    res = sv.tapr(M, x, eta, params, tol=1e-12, maxiter=300, tol_absolute=True)
+    res = sv.tapr(M, x, eta, tapr_cfg(tol=1e-12, maxiter=300, tol_absolute=True))
     errs = res.trace.combined
     for k, tag in enumerate(res.trace.phases):
         if tag == "newton" and k >= 1:
-            assert errs[k] ** 2 <= (1 - params.mu2) * errs[k - 1] ** 2 + 1e-30
+            assert errs[k] ** 2 <= (1 - sv._TAPR_MU2) * errs[k - 1] ** 2 + 1e-30
 
 
-def test_tapr_rejections_count_against_maxiter():
+def test_tapr_rejections_count_against_maxiter(monkeypatch):
     M, x = qkp_setup(n=12, r=3, seed=6)
     eta = 0.5 * unit_tangent(M, x, seed=32)
     # acceptance made nearly impossible for iAP and second-order steps
-    params = sv.TaprParams(a1=0.5, a2=0.45, mu0=0.05, mu1=1 - 1e-12, mu2=1 - 1e-12)
+    monkeypatch.setattr(sv, "_TAPR_A1", 0.5)
+    monkeypatch.setattr(sv, "_TAPR_MU0", 0.05)
+    monkeypatch.setattr(sv, "_TAPR_MU1", 1 - 1e-12)
+    monkeypatch.setattr(sv, "_TAPR_MU2", 1 - 1e-12)
     with pytest.raises(MaxIterExceeded) as exc:
-        sv.tapr(M, x, eta, params, tol=1e-13, maxiter=8, tol_absolute=True)
+        sv.tapr(M, x, eta, tapr_cfg(tol=1e-13, maxiter=8, tol_absolute=True))
     res = exc.value.result
     assert res is not None
     # every trial, accepted or rejected, appears in the trace
@@ -1205,3 +1229,18 @@ def test_step_retry_propagates_second_failure_with_iteration():
     with pytest.raises(DegenerateRow) as exc:
         sv._step_with_retry(step, np.ones((2, 2)), iteration=7)
     assert exc.value.iteration == 7
+
+
+@pytest.mark.parametrize(
+    "kind", [sv.RetractionKind.NewtonSLRA, sv.RetractionKind.APHL], ids=lambda k: k.value
+)
+def test_retract_first_step_error_carries_its_iteration(kind):
+    # every slice system of this instance is singular, so the first step
+    # fails without a degenerate-row retry; eta is tangent at x (A touches
+    # only row 0, and row 1's normal at x is e2)
+    M, x = singular_slice_setup()
+    eta = np.zeros_like(x)
+    eta[1, 0] = 0.1
+    with pytest.raises(SingularSchur) as exc:
+        sv.retract(M, x, eta, sv.RetractionConfig(kind=kind))
+    assert exc.value.iteration == 1
