@@ -35,6 +35,7 @@ import argparse
 import csv
 import functools
 import io
+import math
 import os
 import sys
 import time
@@ -210,18 +211,24 @@ def _cmd_verify_order(args) -> int:
     return 0
 
 
+def _check_descent_flags(args) -> None:
+    """The numeric flags solve and bench share, checked before any loading."""
+    if not args.tol > 0.0:
+        raise UsageError(f"--tol must be positive, got {args.tol}")
+    if args.max_outer < 1:
+        raise UsageError(f"--max-outer must be at least 1, got {args.max_outer}")
+    if not math.isfinite(args.move_start):
+        raise UsageError(f"--move-start must be finite, got {args.move_start}")
+
+
 def _start(inst, args):
     """R0 for op.solve: None (its constructive start) for --move-start 0."""
     return _moved_start(inst, args.move_start) if args.move_start != 0.0 else None
 
 
 def _solve_cell(inst, kind, args, R0):
-    cfg = op.OptimizerConfig(
-        retraction=sv.RetractionConfig(kind=kind),
-        grad_tol=args.tol,
-        max_outer=args.max_outer,
-    )
-    return op.solve(inst, inst.meta["r"], cfg, R0=R0)
+    cfg = op.OptimizerConfig(kind, grad_tol=args.tol, max_outer=args.max_outer)
+    return op.solve(inst, cfg, R0=R0)
 
 
 def _report_cells(report) -> list:
@@ -237,6 +244,9 @@ def _report_cells(report) -> list:
 
 def _cmd_solve(args) -> int:
     kind = _parse_kinds(args.kind)[0]
+    _check_descent_flags(args)
+    if args.r is not None and args.r < 1:
+        raise UsageError(f"--r must be at least 1, got {args.r}")
     inst = _load_instance(args.instance, r=args.r)
     report = _solve_cell(inst, kind, args, _start(inst, args))
     name = inst.meta["name"]
@@ -253,6 +263,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     kinds = _parse_kinds(args.kinds)
+    _check_descent_flags(args)
+    if args.repeats < 1:
+        raise UsageError(f"--repeats must be at least 1, got {args.repeats}")
     insts = [_load_instance(path) for path in args.instances.split(",")]
     rows = []
     timing_rows = []

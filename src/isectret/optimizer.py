@@ -20,16 +20,18 @@ Practical notes for callers:
   below ~1e-2 on generic instances therefore starve the nonmonotone test
   (LineSearchFailed) rather than converge; this loop is a comparison
   harness, not a high-accuracy solver.
-- A non-positive BB curvature estimate falls back to step_bounds.min and
-  the loop may crawl at that step until max_outer; the per-iteration log
-  shows such stalls plainly.
+- BB proposals are clamped to _STEP_BOUNDS = (1e-8, 1e2). A non-positive
+  curvature estimate falls back to the lower bound and the loop may crawl
+  at that step until max_outer; the per-iteration log shows such stalls
+  plainly.
 - The three-phase retraction guards its validity region and the metric
-  dual Newton is undamped; both want step_bounds capped (e.g. max 5e-2)
-  when used inside this loop, or their guard errors will surface.
+  dual Newton is undamped; long BB proposals can trip their guard errors
+  (InitialResidualTooLarge, MaxIterExceeded), which surface with the
+  outer iteration attached.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,27 +53,26 @@ __all__ = [
 _DECREASE_COEFF = 1e-8
 _MAX_HALVINGS = 20
 _FIRST_STEP_COEFF = 1e-3
-_DEFAULT_STEP_BOUNDS = (1e-8, 1e2)
+_STEP_BOUNDS = (1e-8, 1e2)
 _NONMONOTONE_WINDOW = 5
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    retraction: sv.RetractionConfig
+    """The retraction kind, the gradient norm target and the outer budget.
+    Each outer step retracts with its own schedule tolerance (retract_tol)."""
+
+    kind: sv.RetractionKind
     grad_tol: float = 1e-6
     max_outer: int = 1000
-    step_bounds: tuple = _DEFAULT_STEP_BOUNDS
 
     def __post_init__(self):
-        if not isinstance(self.retraction, sv.RetractionConfig):
-            raise ValueError("retraction must be a RetractionConfig")
+        if not isinstance(self.kind, sv.RetractionKind):
+            raise ValueError("kind must be a RetractionKind")
         if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
         if self.max_outer != int(self.max_outer) or self.max_outer < 1:
             raise ValueError("max_outer must be a positive integer")
-        lo, hi = self.step_bounds
-        if not 0.0 < lo <= hi:
-            raise ValueError("step_bounds must satisfy 0 < min <= max")
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,9 @@ def gradient(inst: pb.ProblemInstance, R: np.ndarray) -> np.ndarray:
     return G
 
 
-def bb_step(s_prev, y_prev, step_bounds=_DEFAULT_STEP_BOUNDS):
+def bb_step(s_prev, y_prev):
     """Barzilai-Borwein (BB1) stepsize <s,s>/<s,y> from the last displacement
-    pair. The result is clamped to step_bounds, and any non-positive or
+    pair. The result is clamped to _STEP_BOUNDS, and any non-positive or
     undefined ratio falls back to the lower bound.
     """
     s = np.asarray(s_prev, dtype=float)
@@ -126,7 +127,7 @@ def bb_step(s_prev, y_prev, step_bounds=_DEFAULT_STEP_BOUNDS):
     yy = float(np.sum(y * y))
     if ss == 0.0 or yy == 0.0:
         raise ValueError("bb_step needs nonzero s_prev and y_prev")
-    lo, hi = step_bounds
+    lo, hi = _STEP_BOUNDS
     raw = ss / sy if sy != 0.0 else -1.0
     if not np.isfinite(raw) or raw <= 0.0:
         return float(lo)
@@ -144,21 +145,19 @@ def _base_slack(res, R):
     return max(mf.FEASIBILITY_TOL, 1.1 * res / (mf.frobenius_norm(R) + 1.0))
 
 
-def _check_start(M, r, R0):
-    if r != M.dims.r:
-        raise ValueError(f"requested r={r}, but the manifold has r={M.dims.r}")
-    R = np.array(R0, dtype=float)
-    if R.shape != (M.dims.N, r):
-        raise ValueError(f"start point must have shape ({M.dims.N}, {r})")
-    res = mf.combined_residual(M, R)
+def _start(inst, R0):
+    """The start point (feasible_init for R0=None) and its combined residual."""
+    M = inst.manifold
+    R = pb.feasible_init(inst, M.dims.r) if R0 is None else np.array(R0, dtype=float)
+    if R.shape != (M.dims.N, M.dims.r):
+        raise ValueError(f"start point must have shape ({M.dims.N}, {M.dims.r})")
+    res = float(mf.combined_residual(M, R))
     if res > 1e-8:
         raise ValueError(f"start point violates the constraints by {res:.3e}")
-    return R
+    return R, res
 
 
-def solve(
-    inst: pb.ProblemInstance, r: int, cfg: OptimizerConfig, R0=None
-) -> SolveReport:
+def solve(inst: pb.ProblemInstance, cfg: OptimizerConfig, R0=None) -> SolveReport:
     """Run the BB gradient loop from a feasible start.
 
     The default start is the constructive feasible point. Note that the
@@ -171,15 +170,15 @@ def solve(
     Stops when the Riemannian gradient norm reaches cfg.grad_tol or after
     cfg.max_outer accepted iterations. Raises LineSearchFailed when the
     nonmonotone test rejects 20 halvings in a row; retraction errors
-    propagate with the outer iteration attached.
+    propagate with the outer iteration attached. The report's counts are
+    read off the per-iteration log.
     """
     if not isinstance(cfg, OptimizerConfig):
         raise TypeError("cfg must be an OptimizerConfig")
     wall_start = time.perf_counter()
     M = inst.manifold
-    R = pb.feasible_init(inst, r) if R0 is None else _check_start(M, r, R0)
+    R, res = _start(inst, R0)
     f = objective(inst, R)
-    res = float(mf.combined_residual(M, R))
     slack = _base_slack(res, R)
     xi, g = _riemannian_grad(M, R, gradient(inst, R), base_tol=slack)
     log = [
@@ -195,43 +194,35 @@ def solve(
             residual_bound=0.0,
         )
     ]
-    objs = [f]
     s_prev = None
     y_prev = None
-    outer = 0
-    total_inner = 0
 
     for i in range(1, cfg.max_outer + 1):
         if g <= cfg.grad_tol:
             break
-        if i == 1:
-            t = _FIRST_STEP_COEFF / (g + 1.0)
-        else:
-            t = bb_step(s_prev, y_prev, step_bounds=cfg.step_bounds)
+        t = _FIRST_STEP_COEFF / (g + 1.0) if i == 1 else bb_step(s_prev, y_prev)
         tol_i = sv.retract_tol(g, i)
-        ret_cfg = replace(cfg.retraction, tol=tol_i)
-        window_max = max(objs[-_NONMONOTONE_WINDOW:])
-        inner_this = 0
-        accepted = False
+        ret_cfg = sv.RetractionConfig(kind=cfg.kind, tol=tol_i)
+        window_max = max(rec.objective for rec in log[-_NONMONOTONE_WINDOW:])
+        inner = 0
         for halvings in range(_MAX_HALVINGS + 1):
-            target = R - t * xi
             try:
                 out = sv.retract(M, R, -t * xi, ret_cfg, base_tol=slack)
             except IsectError as err:
                 err.outer_iteration = i
                 raise
-            inner_this += max(len(out.trace) - 1, 0)
+            # the trace's first record is the start point, not a step
+            inner += len(out.trace) - 1
             f_new = objective(inst, out.point)
             if f_new <= window_max - _DECREASE_COEFF * t * g * g:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             raise LineSearchFailed(
                 f"nonmonotone test rejected {_MAX_HALVINGS} halvings "
                 f"at outer iteration {i}"
             )
-        bound = tol_i if ret_cfg.tol_absolute else tol_i * (mf.frobenius_norm(target) + 1.0)
+        bound = tol_i * (mf.frobenius_norm(R - t * xi) + 1.0)
         R_new = out.point
         # the retraction trace ends with residual_norms of the point it returns
         res = out.trace.combined[-1]
@@ -240,9 +231,6 @@ def solve(
         s_prev = R_new - R
         y_prev = xi_new - xi
         R, f, xi, g = R_new, f_new, xi_new, g_new
-        objs.append(f)
-        outer = i
-        total_inner += inner_this
         log.append(
             IterRecord(
                 iteration=i,
@@ -250,21 +238,22 @@ def solve(
                 grad_norm=g,
                 step=t,
                 halvings=halvings,
-                retraction_iters=inner_this,
+                retraction_iters=inner,
                 retraction_tol=tol_i,
                 residual=res,
                 residual_bound=float(bound),
             )
         )
 
-    mean = total_inner / outer if outer > 0 else 0.0
+    outer = len(log) - 1
+    total_inner = sum(rec.retraction_iters for rec in log)
     return SolveReport(
         final_point=R,
         final_objective=f,
         grad_norm=g,
         outer_iters=outer,
         total_retraction_iters=total_inner,
-        mean_retraction_iters=mean,
+        mean_retraction_iters=total_inner / outer if outer > 0 else 0.0,
         wall_time=time.perf_counter() - wall_start,
         per_iter_log=log,
     )

@@ -17,8 +17,8 @@ cheap step map from V = x + eta:
    scipy.linalg.solve(..., assume_a="pos") and with the same checks.
 
 One loop, _iterate, runs every retraction: it records the start, tests the
-residual bound, records each step (phase tag, residuals, step norm, wall
-time) and raises MaxIterExceeded with the partial result. A kind supplies
+residual bound, records each step (phase tag, residuals, step norm) and
+raises MaxIterExceeded with the partial result. A kind supplies
 only its step policy: a step map above with the Newton family's APM
 fallback, one metric_project call, or tapr's phase machine (APM far out, iAP
 in a moderate neighborhood, NewtonSLRA near the set, with merit-decrease
@@ -30,7 +30,6 @@ mf.schur_solve picks its route from the problem sizes.
 from __future__ import annotations
 
 import functools
-import time
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -120,14 +119,12 @@ class IterTrace:
     combined: list = field(default_factory=list)
     binary: list = field(default_factory=list)
     step_norms: list = field(default_factory=list)
-    wall_times: list = field(default_factory=list)
 
-    def record(self, phase, combined, binary, step_norm, wall):
+    def record(self, phase, combined, binary, step_norm):
         self.phases.append(str(phase))
         self.combined.append(float(combined))
         self.binary.append(float(binary))
         self.step_norms.append(float(step_norm))
-        self.wall_times.append(float(wall))
 
     def __len__(self):
         return len(self.phases)
@@ -138,7 +135,6 @@ class RetractionResult:
     point: np.ndarray
     converged: bool
     trace: IterTrace
-    kind: RetractionKind
 
 
 def retract_tol(grad_norm: float, i: int) -> float:
@@ -440,25 +436,22 @@ def _iterate(M, V, kind, advance, tol, tol_absolute, maxiter, init_tag, start=No
     trace = IterTrace()
     if res is None:
         res = mf.residual_norms(M, V)
-    trace.record(init_tag, res[0], res[1], 0.0, 0.0)
+    trace.record(init_tag, res[0], res[1], 0.0)
     if res[0] <= _bound(tol, tol_absolute, V):
-        return RetractionResult(point=V, converged=True, trace=trace, kind=kind)
+        return RetractionResult(point=V, converged=True, trace=trace)
     y = V
     if start is not None:
         y = _step_with_retry(start, V, 0)
         res = mf.residual_norms(M, y)
     for i in range(1, maxiter + 1):
-        t0 = time.perf_counter()
         y_new, res, tag = advance(y, res, i)
-        trace.record(
-            tag, res[0], res[1], mf.frobenius_norm(y_new - y), time.perf_counter() - t0
-        )
+        trace.record(tag, res[0], res[1], mf.frobenius_norm(y_new - y))
         y = y_new
         if res[0] <= _bound(tol, tol_absolute, y):
-            return RetractionResult(point=y, converged=True, trace=trace, kind=kind)
+            return RetractionResult(point=y, converged=True, trace=trace)
     raise MaxIterExceeded(
         f"retraction ({kind.value}) missed tol {tol:g} in {maxiter} iterations",
-        result=RetractionResult(point=y, converged=False, trace=trace, kind=kind),
+        result=RetractionResult(point=y, converged=False, trace=trace),
     )
 
 

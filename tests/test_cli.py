@@ -145,6 +145,32 @@ class TestExitCodes:
         ]
         assert cli.run(argv) == 1
 
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("solve", ["--tol", "0"]),
+            ("solve", ["--tol", "-1"]),
+            ("solve", ["--tol", "nan"]),
+            ("solve", ["--max-outer", "0"]),
+            ("solve", ["--move-start", "nan"]),
+            ("solve", ["--r", "0"]),
+            ("bench", ["--tol", "0"]),
+            ("bench", ["--tol", "-1"]),
+            ("bench", ["--tol", "nan"]),
+            ("bench", ["--max-outer", "0"]),
+            ("bench", ["--move-start", "nan"]),
+            ("bench", ["--repeats", "0"]),
+        ],
+    )
+    def test_bad_descent_flag_is_usage_error(self, command, flags, qap_file, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        where = ["--instance"] if command == "solve" else ["--instances"]
+        what = ["--kind"] if command == "solve" else ["--kinds"]
+        argv = [command, *where, qap_file, *what, "aphl", *flags, "--out", str(out)]
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {flags[0]}")
+        assert not out.exists()
+
     def test_project_bad_method(self, qap_file, tmp_path):
         pt = tmp_path / "v.txt"
         pt.write_text("0.0\n")

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
-from test_solvers import aphl_delta_oracle, on_route, spoiled, tangent_kkt_oracle
+from test_solvers import (
+    aphl_delta_oracle,
+    decoupled_manifold,
+    on_route,
+    spoiled,
+    tangent_kkt_oracle,
+)
 
 from isectret import manifold as mf
 from isectret import problems as pb
@@ -14,17 +20,6 @@ def line_manifold(r=1):
     A = np.array([[1.0, 1.0, 1.0]])
     b = np.array([3.0])
     return mf.IntersectionManifold(A, b, binary_rows=[0], r=r)
-
-
-def decoupled_manifold(N=7, s=4, m=2, r=3, seed=0):
-    """Affine rows touch only the non-binary block, so feasible points can be
-    written down directly: binary rows 0.5*(e1 + u) with u unit, free rows
-    solving the affine system."""
-    rng = np.random.default_rng(seed)
-    A2 = rng.standard_normal((m, N - s))
-    A = np.hstack([np.zeros((m, s)), A2])
-    b = rng.standard_normal(m)
-    return mf.IntersectionManifold(A, b, binary_rows=list(range(s)), r=r)
 
 
 def feasible_point(M, seed=1):

@@ -14,6 +14,7 @@ the saddle by one exact retraction.
 
 import numpy as np
 import pytest
+from test_solvers import feasible_point
 
 from isectret import manifold as mf
 from isectret import optimizer as op
@@ -45,25 +46,6 @@ def quadratic_instance(N=9, s=4, m=2, r=2, seed=0, with_linear=True):
     return pb.ProblemInstance(manifold=M, Qlift=Q, clift=c, meta={"kind": "custom"})
 
 
-def feasible_point(M, seed=0):
-    rng = np.random.default_rng(seed + 1000)
-    N, r = M.dims.N, M.dims.r
-    R = np.zeros((N, r))
-    for i in M.binary_rows:
-        u = rng.standard_normal(r)
-        u /= np.linalg.norm(u)
-        R[i] = 0.5 * u
-        R[i, 0] += 0.5
-    free = np.setdiff1d(np.arange(N), M.binary_rows)
-    A2 = M.affine.A[:, free]
-    target = np.zeros((M.dims.m_rows, r))
-    target[:, 0] = M.affine.b_col
-    target -= M.affine.A[:, M.binary_rows] @ R[M.binary_rows]
-    R[free] = np.linalg.lstsq(A2, target, rcond=None)[0]
-    assert mf.combined_residual(M, R) < 1e-10
-    return R
-
-
 def custom_setup(seed=0):
     inst = quadratic_instance(seed=seed)
     return inst, feasible_point(inst.manifold, seed=seed)
@@ -91,7 +73,7 @@ def qap_moved_start(inst, r, scale=0.3, seed=11):
 
 
 def config(kind=sv.RetractionKind.NewtonSLRA, **kw):
-    return op.OptimizerConfig(retraction=sv.RetractionConfig(kind=kind), **kw)
+    return op.OptimizerConfig(kind, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +150,19 @@ def test_bb_step_general_ratios():
     assert op.bb_step(s, y) == pytest.approx(5.0 / 3.0, rel=1e-15)
 
 
-def test_bb_step_negative_curvature_falls_to_min():
+def test_bb_step_negative_curvature_falls_to_min(monkeypatch):
     s = np.ones((4, 1))
     y = -np.ones((4, 1))
     bounds = (1e-8, 1e2)
-    assert op.bb_step(s, y, step_bounds=bounds) == bounds[0]
+    monkeypatch.setattr(op, "_STEP_BOUNDS", bounds)
+    assert op.bb_step(s, y) == bounds[0]
 
 
-def test_bb_step_clamps_to_bounds():
+def test_bb_step_clamps_to_bounds(monkeypatch):
     s = np.array([[1.0]])
-    assert op.bb_step(s, 1e-9 * s, step_bounds=(1e-8, 1e2)) == 1e2
-    assert op.bb_step(s, 1e9 * s, step_bounds=(1e-8, 1e2)) == 1e-8
+    monkeypatch.setattr(op, "_STEP_BOUNDS", (1e-8, 1e2))
+    assert op.bb_step(s, 1e-9 * s) == 1e2
+    assert op.bb_step(s, 1e9 * s) == 1e-8
 
 
 def test_bb_step_rejects_zero_inputs():
@@ -194,17 +178,15 @@ def test_bb_step_rejects_zero_inputs():
 
 
 def test_config_validation():
-    ret = sv.RetractionConfig()
+    kind = sv.RetractionKind.APM
     with pytest.raises(ValueError):
-        op.OptimizerConfig(retraction=ret, grad_tol=0.0)
+        op.OptimizerConfig(kind, grad_tol=0.0)
     with pytest.raises(ValueError):
-        op.OptimizerConfig(retraction=ret, max_outer=0)
+        op.OptimizerConfig(kind, max_outer=0)
     with pytest.raises(ValueError):
-        op.OptimizerConfig(retraction=ret, step_bounds=(1.0, 0.5))
+        op.OptimizerConfig(42)
     with pytest.raises(ValueError):
-        op.OptimizerConfig(retraction=ret, step_bounds=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        op.OptimizerConfig(retraction=42)
+        op.OptimizerConfig(sv.RetractionConfig(kind=kind))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +198,7 @@ def test_solve_stationary_start_zero_iters():
     # gradient projects to nothing; the driver must notice and stop
     inst = pb.lift_qkp(pb.gen_qkp(10, 0.5, 2))
     r = inst.meta["r"]
-    report = op.solve(inst, r, config(grad_tol=1e-8))
+    report = op.solve(inst, config(grad_tol=1e-8))
     assert report.outer_iters == 0
     assert report.grad_norm <= 1e-8
     assert report.total_retraction_iters == 0
@@ -233,7 +215,7 @@ def test_solve_qap_start_is_saddle():
     inst, r = qap_setup()
     R0 = pb.feasible_init(inst, r)
     assert np.linalg.norm(op.gradient(inst, R0)) > 10.0
-    report = op.solve(inst, r, config(grad_tol=1e-8))
+    report = op.solve(inst, config(grad_tol=1e-8))
     assert report.outer_iters == 0
     assert report.grad_norm <= 1e-12
 
@@ -241,33 +223,23 @@ def test_solve_qap_start_is_saddle():
 def test_solve_qkp_stationary_for_every_kind():
     # same stopping decision regardless of the configured retraction
     inst = pb.lift_qkp(pb.gen_qkp(50, 0.5, 42))
-    r = inst.meta["r"]
     for kind in sv.RetractionKind:
-        report = op.solve(inst, r, config(kind=kind, grad_tol=1e-4, max_outer=2000))
+        report = op.solve(inst, config(kind=kind, grad_tol=1e-4, max_outer=2000))
         assert report.grad_norm <= 1e-4, kind
         assert report.outer_iters <= 2000, kind
 
 
-def test_solve_rejects_rank_mismatch():
-    inst = pb.lift_qkp(pb.gen_qkp(10, 0.5, 2))
-    with pytest.raises(ValueError):
-        op.solve(inst, inst.meta["r"] + 1, config())
-
-
 def test_solve_rejects_bad_start():
     inst, R0 = custom_setup()
-    r = inst.manifold.dims.r
     with pytest.raises(ValueError, match="shape"):
-        op.solve(inst, r, config(), R0=R0[:-1])
+        op.solve(inst, config(), R0=R0[:-1])
     with pytest.raises(ValueError, match="violates"):
-        op.solve(inst, r, config(), R0=np.ones_like(R0))
-    with pytest.raises(ValueError, match="r="):
-        op.solve(inst, r + 1, config(), R0=R0)
+        op.solve(inst, config(), R0=np.ones_like(R0))
 
 
 def test_solve_max_outer_reached():
     inst, R0 = custom_setup()
-    report = op.solve(inst, 2, config(grad_tol=1e-15, max_outer=3), R0=R0)
+    report = op.solve(inst, config(grad_tol=1e-15, max_outer=3), R0=R0)
     assert report.outer_iters == 3
     assert len(report.per_iter_log) == 4
 
@@ -285,7 +257,7 @@ def test_solve_max_outer_reached():
 
 def test_solve_descends_newton():
     inst, R0 = custom_setup()
-    report = op.solve(inst, 2, config(grad_tol=2e-2, max_outer=100), R0=R0)
+    report = op.solve(inst, config(grad_tol=2e-2, max_outer=100), R0=R0)
     log = report.per_iter_log
     assert report.grad_norm <= 2e-2
     assert report.outer_iters < 100
@@ -298,7 +270,7 @@ def test_solve_descends_newton():
 def test_solve_qap_moved_start_descends():
     inst, r = qap_setup()
     Rm = qap_moved_start(inst, r)
-    report = op.solve(inst, r, config(grad_tol=2e-2, max_outer=200), R0=Rm)
+    report = op.solve(inst, config(grad_tol=2e-2, max_outer=200), R0=Rm)
     assert report.grad_norm <= 2e-2
     assert report.final_objective < report.per_iter_log[0].objective
 
@@ -320,12 +292,11 @@ def test_solve_qap_moved_start_descends():
         (sv.RetractionKind.MetricGWANewton, 1, (1e-8, 5e-2), 200),
     ],
 )
-def test_solve_kinds_reach_tolerance(kind, seed, bounds, max_outer):
+def test_solve_kinds_reach_tolerance(kind, seed, bounds, max_outer, monkeypatch):
     inst, R0 = custom_setup(seed=seed)
-    kw = {"grad_tol": 2e-2, "max_outer": max_outer}
     if bounds is not None:
-        kw["step_bounds"] = bounds
-    report = op.solve(inst, 2, config(kind=kind, **kw), R0=R0)
+        monkeypatch.setattr(op, "_STEP_BOUNDS", bounds)
+    report = op.solve(inst, config(kind=kind, grad_tol=2e-2, max_outer=max_outer), R0=R0)
     assert report.grad_norm <= 2e-2
     assert report.outer_iters < max_outer
     assert report.final_objective < report.per_iter_log[0].objective
@@ -337,10 +308,10 @@ def test_solve_bb_fallback_stall_is_reported_not_hidden():
     # the report must show the stall honestly
     inst, R0 = custom_setup(seed=2)
     cfg = config(grad_tol=2e-2, max_outer=30)
-    report = op.solve(inst, 2, cfg, R0=R0)
+    report = op.solve(inst, cfg, R0=R0)
     assert report.outer_iters == 30
     assert report.grad_norm > 1.0
-    assert min(rec.step for rec in report.per_iter_log[1:]) == cfg.step_bounds[0]
+    assert min(rec.step for rec in report.per_iter_log[1:]) == op._STEP_BOUNDS[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +321,7 @@ def test_solve_bb_fallback_stall_is_reported_not_hidden():
 def test_solve_log_reconstructs_nonmonotone_condition():
     inst, R0 = custom_setup()
     cfg = config(grad_tol=2e-2, max_outer=100)
-    report = op.solve(inst, 2, cfg, R0=R0)
+    report = op.solve(inst, cfg, R0=R0)
     log = report.per_iter_log
     assert len(log) >= 4
     objs = [rec.objective for rec in log]
@@ -362,7 +333,7 @@ def test_solve_log_reconstructs_nonmonotone_condition():
 
 def test_solve_log_feasibility_within_schedule():
     inst, R0 = custom_setup()
-    report = op.solve(inst, 2, config(grad_tol=2e-2, max_outer=100), R0=R0)
+    report = op.solve(inst, config(grad_tol=2e-2, max_outer=100), R0=R0)
     log = report.per_iter_log
     for rec in log[1:]:
         assert rec.residual <= rec.residual_bound
@@ -373,7 +344,7 @@ def test_solve_log_feasibility_within_schedule():
 
 def test_solve_report_accounting():
     inst, R0 = custom_setup()
-    report = op.solve(inst, 2, config(grad_tol=2e-2, max_outer=100), R0=R0)
+    report = op.solve(inst, config(grad_tol=2e-2, max_outer=100), R0=R0)
     log = report.per_iter_log
     assert report.outer_iters == len(log) - 1
     assert report.total_retraction_iters == sum(rec.retraction_iters for rec in log)
@@ -391,7 +362,7 @@ def test_solve_first_trial_shared_across_kinds():
     # the same safeguarded first step
     inst, R0 = custom_setup()
     reports = [
-        op.solve(inst, 2, config(kind=kind, grad_tol=1e-12, max_outer=1), R0=R0)
+        op.solve(inst, config(kind=kind, grad_tol=1e-12, max_outer=1), R0=R0)
         for kind in (sv.RetractionKind.NewtonSLRA, sv.RetractionKind.APM)
     ]
     g0 = [rep.per_iter_log[0].grad_norm for rep in reports]
@@ -404,7 +375,7 @@ def test_solve_first_trial_shared_across_kinds():
 
 def test_solve_first_step_formula():
     inst, R0 = custom_setup()
-    report = op.solve(inst, 2, config(grad_tol=1e-12, max_outer=1), R0=R0)
+    report = op.solve(inst, config(grad_tol=1e-12, max_outer=1), R0=R0)
     rec = report.per_iter_log[1]
     expected = 1e-3 / (report.per_iter_log[0].grad_norm + 1.0) * 0.5**rec.halvings
     assert rec.step == expected
@@ -420,7 +391,7 @@ def test_solve_line_search_failed_near_stationarity():
     # allows, and no halving can fix a step-independent rejection
     inst, R0 = custom_setup()
     with pytest.raises(LineSearchFailed, match="20"):
-        op.solve(inst, 2, config(grad_tol=1e-6, max_outer=500), R0=R0)
+        op.solve(inst, config(grad_tol=1e-6, max_outer=500), R0=R0)
 
 
 def test_solve_tapr_region_guard_propagates():
@@ -429,7 +400,7 @@ def test_solve_tapr_region_guard_propagates():
     inst, R0 = custom_setup()
     cfg = config(kind=sv.RetractionKind.TAPR, grad_tol=1e-6, max_outer=500)
     with pytest.raises(InitialResidualTooLarge) as info:
-        op.solve(inst, 2, cfg, R0=R0)
+        op.solve(inst, cfg, R0=R0)
     assert info.value.outer_iteration >= 1
 
 
@@ -441,14 +412,14 @@ def test_solve_retraction_error_carries_outer_iteration(monkeypatch):
 
     monkeypatch.setattr(sv, "retract", failing_retract)
     with pytest.raises(MaxIterExceeded) as info:
-        op.solve(inst, 2, config(grad_tol=1e-12, max_outer=5), R0=R0)
+        op.solve(inst, config(grad_tol=1e-12, max_outer=5), R0=R0)
     assert info.value.outer_iteration == 1
 
 
 def test_solve_deterministic():
     inst, R0 = custom_setup()
-    rep1 = op.solve(inst, 2, config(grad_tol=2e-2, max_outer=100), R0=R0)
-    rep2 = op.solve(inst, 2, config(grad_tol=2e-2, max_outer=100), R0=R0)
+    rep1 = op.solve(inst, config(grad_tol=2e-2, max_outer=100), R0=R0)
+    rep2 = op.solve(inst, config(grad_tol=2e-2, max_outer=100), R0=R0)
     assert np.array_equal(rep1.final_point, rep2.final_point)
     assert rep1.final_objective == rep2.final_objective
     assert rep1.outer_iters == rep2.outer_iters

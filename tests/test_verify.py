@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_solvers import coupled_setup, unit_tangent
 
 from isectret import manifold as mf
 from isectret import solvers as sv
@@ -9,39 +10,7 @@ from isectret.errors import InsufficientTail, MaxIterExceeded, NearZeroInput
 
 
 # ---------------------------------------------------------------------------
-# local instance helpers (kept self-contained per test module)
-
-
-def coupled_setup(seed=15, N=9, s=4, m=2, r=2):
-    """Well-conditioned coupled instance; see test_solvers.coupled_setup for
-    why lifted knapsack instances are unsuitable for projection-rate tests."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, N))
-    q, _ = np.linalg.qr(A.T)
-    A = q.T[:m]
-    b = 0.3 * rng.standard_normal(m)
-    M = mf.IntersectionManifold(A, b, binary_rows=np.arange(s), r=r)
-
-    rng2 = np.random.default_rng(seed + 1000)
-    R = np.zeros((N, r))
-    for i in M.binary_rows:
-        u = rng2.standard_normal(r)
-        u /= np.linalg.norm(u)
-        R[i] = 0.5 * u
-        R[i, 0] += 0.5
-    free = np.setdiff1d(np.arange(N), M.binary_rows)
-    target = np.zeros((m, r))
-    target[:, 0] = M.affine.b_col
-    target -= A[:, M.binary_rows] @ R[M.binary_rows]
-    R[free] = np.linalg.lstsq(A[:, free], target, rcond=None)[0]
-    assert mf.combined_residual(M, R) < 1e-10
-    return M, R
-
-
-def unit_tangent(M, R, seed=0):
-    rng = np.random.default_rng(seed + 2000)
-    xi = mf.project_tangent(M, R, rng.standard_normal(R.shape)).xi
-    return xi / np.linalg.norm(xi)
+# local helpers
 
 
 def unit_vector(n, seed):
