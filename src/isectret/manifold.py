@@ -11,6 +11,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,10 @@ __all__ = [
     "frobenius_norm",
     "project_affine",
     "project_binary",
+    "sweep",
     "row_normals",
     "project_tangent",
+    "check_base",
     "project_slice",
     "schur_solve",
     "linearized_project",
@@ -80,10 +83,14 @@ class AffineSystem:
 
     gram_solve applies (A A^T)^{-1} by one LAPACK potrs call on the cached
     Cholesky factor (scipy's cho_solve makes the same call behind its input
-    checks). A_B is the fancy-indexed copy A[:, binary_cols], kept for the
-    slice and dual solvers; low_rank_factor is U with
-    A_B^T (A A^T)^{-1} A_B = U U^T, reused by the Schur-complement solvers,
-    and low_rank_gram is U U^T itself, built on first use.
+    checks); the slice projection and the relaxed NewtonSLRA step use it.
+    K = A^T (A A^T)^{-1}, the N x m matrix of the affine projection
+    R - K (A R - b e1^T), is built once from the same factor, so a
+    projection is two small products and no solve. A_B is the fancy-indexed
+    copy A[:, binary_cols], kept for the slice and dual solvers;
+    low_rank_factor is U with A_B^T (A A^T)^{-1} A_B = U U^T, reused by the
+    Schur-complement solvers, and low_rank_gram is U U^T itself, built on
+    first use. K, A_B and low_rank_gram are read-only.
 
     Neither gram_solve nor the kernels built on it check their input for
     NaN or inf: a non-finite input gives a non-finite output. The entry
@@ -105,6 +112,8 @@ class AffineSystem:
             )
         self._factor, _ = cho_factor(G, lower=True)
         (self._potrs,) = get_lapack_funcs(("potrs",), (self._factor,))
+        self.K = np.ascontiguousarray(self.gram_solve(A).T)
+        self.K.setflags(write=False)
         # a copy, not a view: BLAS takes the same path on it as on A[:, B]
         self.A_B = A[:, binary_cols]
         self.A_B.setflags(write=False)
@@ -159,6 +168,19 @@ class IntersectionManifold:
         self.affine = AffineSystem(A, b_col, binary_rows)
         self.binary_rows.setflags(write=False)
         self.affine.A.setflags(write=False)
+        # rows broadcast against the first column in place of strided
+        # column updates, with the same bits: x - 0.0 and x + (-0.0) are x
+        # for every x, signed zeros included. e1 is the unit row, centre the
+        # spheres' centre e1/2, rhs the affine right-hand side b e1^T
+        r = self.dims.r
+        self.e1 = np.zeros(r)
+        self.e1[0] = 1.0
+        self.centre = np.full(r, -0.0)
+        self.centre[0] = 0.5
+        self.rhs = np.zeros((self.dims.m_rows, r))
+        self.rhs[:, 0] = self.affine.b_col
+        for a in (self.e1, self.centre, self.rhs):
+            a.setflags(write=False)
 
     def binary_block(self, R: np.ndarray) -> np.ndarray:
         """The rows R[binary_rows] for reading, as a view when binary_index
@@ -187,13 +209,16 @@ def _check_dims(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
 
 def frobenius_norm(x: np.ndarray):
     """np.linalg.norm(x) of a float array by numpy's own fast path, without
-    its dispatch: the same operations in the same order, so the same bits."""
+    its dispatch: the same operations in the same order, so the same bits
+    (math.sqrt and np.sqrt both round the square root correctly)."""
     x = x.ravel(order="K")
-    return np.sqrt(x.dot(x))
+    return math.sqrt(x.dot(x))
 
 
 def _sphere_violation(RB: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", RB, RB) - RB[:, 0]
+    h = np.einsum("ij,ij->i", RB, RB)
+    h -= RB[:, 0]
+    return h
 
 
 def binary_residual(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
@@ -204,7 +229,7 @@ def binary_residual(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
 
 def _affine_gap(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     E = M.affine.A @ R
-    E[:, 0] -= M.affine.b_col
+    E -= M.rhs
     return E
 
 
@@ -212,15 +237,19 @@ def affine_residual(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     return _affine_gap(M, _check_dims(M, R))
 
 
-def residual_norms(M: IntersectionManifold, R: np.ndarray) -> tuple[float, float]:
-    """(combined, ||h||) from one affine residual E = A R - b e1^T and one
+def _residual_pass(M: IntersectionManifold, R: np.ndarray):
+    h = _sphere_violation(M.binary_block(R))
+    nh = frobenius_norm(h)
+    return math.sqrt(frobenius_norm(_affine_gap(M, R)) ** 2 + nh**2), nh, h
+
+
+def residual_norms(M: IntersectionManifold, R: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(combined, ||h||, h) from one affine residual E = A R - b e1^T and one
     binary_residual h: combined = sqrt(||E||^2 + ||h||^2) is
-    combined_residual, and ||h|| is what the retraction traces record. The
-    retraction loop takes both from this one pass per step."""
-    R = _check_dims(M, R)
-    E = _affine_gap(M, R)
-    nh = frobenius_norm(_sphere_violation(M.binary_block(R)))
-    return float(np.sqrt(frobenius_norm(E) ** 2 + nh**2)), float(nh)
+    combined_residual, ||h|| is what the retraction traces record, and h is
+    what the next iAP sweep linearizes with. The retraction loop takes all
+    three from this one pass per step (sweep computes it for its result)."""
+    return _residual_pass(M, _check_dims(M, R))
 
 
 def combined_residual(M: IntersectionManifold, R: np.ndarray) -> float:
@@ -229,35 +258,70 @@ def combined_residual(M: IntersectionManifold, R: np.ndarray) -> float:
 
 
 def project_affine(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the affine factor, R - A^T (A A^T)^{-1} (A R - b e1^T)."""
+    """Orthogonal projection onto the affine factor,
+    R - A^T (A A^T)^{-1} (A R - b e1^T), applied as R - K (A R - b e1^T)
+    with the cached K = A^T (A A^T)^{-1}."""
     R = _check_dims(M, R)
-    return R - M.affine.A.T @ M.affine.gram_solve(_affine_gap(M, R))
+    return R - M.affine.K @ _affine_gap(M, R)
 
 
-def _normals(RB: np.ndarray) -> np.ndarray:
+def _normals(M: IntersectionManifold, RB: np.ndarray) -> np.ndarray:
     C = 2.0 * RB
-    C[:, 0] -= 1.0
+    C -= M.e1
     return C
+
+
+def _degenerate_row(M: IntersectionManifold, nrm: np.ndarray) -> DegenerateRow:
+    """DegenerateRow for the first binary row whose normal norm (entry of
+    nrm, one per binary row) is below _DEGENERATE_TOL."""
+    return DegenerateRow(int(M.binary_rows[np.flatnonzero(nrm < _DEGENERATE_TOL)[0]]))
+
+
+def _least(x: np.ndarray) -> float:
+    """x.min() of a float array, read at x.argmin(), which picks the same
+    entry (the first NaN when there is one) at about half the call overhead
+    of min on the short per-row vectors of the sweep."""
+    return x.item(x.argmin())
+
+
+def _sphere_rows(M: IntersectionManifold, RB: np.ndarray) -> np.ndarray:
+    """The binary rows RB projected onto their spheres, centre + C_i / (2 ||C_i||)."""
+    C = _normals(M, RB)
+    # np.linalg.norm(C, axis=1, keepdims=True), computed as numpy computes it
+    nrm = np.sqrt(np.add.reduce(C * C, axis=1, keepdims=True))
+    if _least(nrm) < _DEGENERATE_TOL:
+        raise _degenerate_row(M, nrm)
+    # in place on the temporary C: 0.5 * (C / nrm) + centre, the same bits
+    C /= nrm
+    C *= 0.5
+    C += M.centre
+    return C
+
+
+def _linearized_rows(M: IntersectionManifold, RB: np.ndarray, h=None) -> np.ndarray:
+    """The binary rows RB moved by -(h_i/||c_i||^2) c_i, h their sphere
+    violations (computed here unless the caller holds them)."""
+    C = _normals(M, RB)
+    nrm2 = np.einsum("ij,ij->i", C, C)
+    if math.sqrt(_least(nrm2)) < _DEGENERATE_TOL:
+        raise _degenerate_row(M, np.sqrt(nrm2))
+    if h is None:
+        h = _sphere_violation(RB)
+    C *= (h / nrm2)[:, None]
+    return RB - C
 
 
 def row_normals(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     """Rows c_i = 2 R_i - e1^T for i in B. On M2 these have unit norm."""
     R = _check_dims(M, R)
-    return _normals(M.binary_block(R))
+    return _normals(M, M.binary_block(R))
 
 
 def project_binary(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     """Row-wise projection onto the sphere factor; rows outside B pass through."""
     R = _check_dims(M, R)
-    C = _normals(M.binary_block(R))
-    # np.linalg.norm(C, axis=1), computed as numpy computes it
-    nrm = np.sqrt(np.add.reduce(C * C, axis=1))
-    if (nrm < _DEGENERATE_TOL).any():
-        raise DegenerateRow(int(M.binary_rows[np.flatnonzero(nrm < _DEGENERATE_TOL)[0]]))
     out = R.copy()
-    rows = 0.5 * (C / nrm[:, None])
-    rows[:, 0] += 0.5
-    out[M.binary_index] = rows
+    out[M.binary_index] = _sphere_rows(M, M.binary_block(R))
     return out
 
 
@@ -266,16 +330,33 @@ def linearized_project(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     each binary row moves by -(h_i/||c_i||^2) c_i. Agrees with project_binary
     to second order in the distance to M2."""
     R = _check_dims(M, R)
-    RB = M.binary_block(R)
-    C = _normals(RB)
-    nrm2 = np.einsum("ij,ij->i", C, C)
-    small = np.sqrt(nrm2) < _DEGENERATE_TOL
-    if small.any():
-        raise DegenerateRow(int(M.binary_rows[np.flatnonzero(small)[0]]))
-    h = _sphere_violation(RB)
     out = R.copy()
-    out[M.binary_index] -= (h / nrm2)[:, None] * C
+    out[M.binary_index] = _linearized_rows(M, M.binary_block(R))
     return out
+
+
+def sweep(M: IntersectionManifold, R: np.ndarray, linearized=False, h=None):
+    """One sweep of alternating projections from R, fused with the residual
+    pass of its result: the binary rows move onto their spheres (exactly,
+    or by linearized_project's first-order move when linearized), the point
+    moves onto the affine factor through the cached K as
+    P - K (A P - b e1^T), and residual_norms of P follows. Returns
+    (P, residual_norms(M, P)).
+
+    h is R's sphere violations (residual_norms(M, R)[2]) when the caller
+    holds them, as the retraction loop does; the linearized sweep reuses
+    them. A binary row whose normal is shorter than _DEGENERATE_TOL raises
+    DegenerateRow with that row.
+
+    The same arithmetic as project_affine after project_binary or
+    linearized_project, then residual_norms. Like gram_solve it checks
+    nothing: R must be a float array of shape (N, r), and the entry points
+    check shape and finiteness once."""
+    RB = M.binary_block(R)
+    P = R.copy()
+    P[M.binary_index] = _linearized_rows(M, RB, h) if linearized else _sphere_rows(M, RB)
+    P -= M.affine.K @ _affine_gap(M, P)
+    return P, _residual_pass(M, P)
 
 
 def _spd_solve(S, rhs):
@@ -405,11 +486,30 @@ def project_slice(
     return out
 
 
+def check_base(M: IntersectionManifold, R: np.ndarray, base_res: float | None = None):
+    """The feasibility guard on a base point R: raise ValueError when its
+    combined residual exceeds FEASIBILITY_TOL * (||R||_F + 1).
+
+    base_res, R's combined residual when the caller already holds it, skips
+    the guard: the caller vouches for R, and nothing is measured or
+    compared. The descent loop passes it for the points its own inexact
+    retractions produced, whose residuals follow its tolerance schedule and
+    may lie above this allowance."""
+    if base_res is not None:
+        return
+    res = combined_residual(M, R)
+    allow = FEASIBILITY_TOL * (frobenius_norm(R) + 1.0)
+    if res > allow:
+        raise ValueError(
+            f"base point infeasible: combined residual {res:.3e} exceeds its allowance {allow:.3e}"
+        )
+
+
 def project_tangent(
     M: IntersectionManifold,
     R: np.ndarray,
     v: np.ndarray,
-    base_tol: float | None = None,
+    base_res: float | None = None,
 ) -> TangentVector:
     """Orthogonal projection of v onto {xi : A xi = 0, <c_i, xi_i> = 0 for i in B}.
 
@@ -417,20 +517,14 @@ def project_tangent(
     d_i = ||c_i||^2: the KKT multipliers are eliminated through the cached
     Gram factor and the s x s Schur complement is solved by schur_solve.
 
-    base_tol widens the feasibility guard on R (relative, default
-    FEASIBILITY_TOL): inexact outer loops legitimately anchor at points
-    whose residual matches their own tolerance schedule.
+    R must pass check_base unless base_res, R's combined residual when the
+    caller holds it, is given; then the guard is skipped.
     """
     R = _check_dims(M, R)
     v = _check_dims(M, v)
     if not (np.isfinite(R).all() and np.isfinite(v).all()):
         raise ValueError("project_tangent needs finite R and v")
-    allow = FEASIBILITY_TOL if base_tol is None else float(base_tol)
-    res = combined_residual(M, R)
-    if res > allow * (frobenius_norm(R) + 1.0):
-        raise ValueError(
-            f"base point infeasible: combined residual {res:.3e} exceeds {allow:.0e} * scale"
-        )
+    check_base(M, R, base_res)
     C = row_normals(M, R)
     gv = np.einsum("ij,ij->i", C, M.binary_block(v))
     d2 = np.einsum("ij,ij->i", C, C)

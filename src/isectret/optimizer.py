@@ -134,15 +134,12 @@ def bb_step(s_prev, y_prev):
     return float(min(max(raw, lo), hi))
 
 
-def _riemannian_grad(M, R, G, base_tol=None):
-    xi = mf.project_tangent(M, R, G, base_tol=base_tol).xi
+def _riemannian_grad(M, R, G, res):
+    # res is R's combined residual: an iterate accepted at schedule
+    # tolerance tol_i carries up to tol_i * scale, above the guards' fixed
+    # allowance, so passing it skips the feasibility guard (mf.check_base)
+    xi = mf.project_tangent(M, R, G, base_res=res).xi
     return xi, float(mf.frobenius_norm(xi))
-
-
-def _base_slack(res, R):
-    # an iterate accepted at schedule tolerance tol_i carries residual up
-    # to tol_i * scale; widen the geometry guards to exactly that much
-    return max(mf.FEASIBILITY_TOL, 1.1 * res / (mf.frobenius_norm(R) + 1.0))
 
 
 def _start(inst, R0):
@@ -179,8 +176,7 @@ def solve(inst: pb.ProblemInstance, cfg: OptimizerConfig, R0=None) -> SolveRepor
     M = inst.manifold
     R, res = _start(inst, R0)
     f = objective(inst, R)
-    slack = _base_slack(res, R)
-    xi, g = _riemannian_grad(M, R, gradient(inst, R), base_tol=slack)
+    xi, g = _riemannian_grad(M, R, gradient(inst, R), res)
     log = [
         IterRecord(
             iteration=0,
@@ -207,7 +203,7 @@ def solve(inst: pb.ProblemInstance, cfg: OptimizerConfig, R0=None) -> SolveRepor
         inner = 0
         for halvings in range(_MAX_HALVINGS + 1):
             try:
-                out = sv.retract(M, R, -t * xi, ret_cfg, base_tol=slack)
+                out = sv.retract(M, R, -t * xi, ret_cfg, base_res=res)
             except IsectError as err:
                 err.outer_iteration = i
                 raise
@@ -226,8 +222,7 @@ def solve(inst: pb.ProblemInstance, cfg: OptimizerConfig, R0=None) -> SolveRepor
         R_new = out.point
         # the retraction trace ends with residual_norms of the point it returns
         res = out.trace.combined[-1]
-        slack = _base_slack(res, R_new)
-        xi_new, g_new = _riemannian_grad(M, R_new, gradient(inst, R_new), base_tol=slack)
+        xi_new, g_new = _riemannian_grad(M, R_new, gradient(inst, R_new), res)
         s_prev = R_new - R
         y_prev = xi_new - xi
         R, f, xi, g = R_new, f_new, xi_new, g_new

@@ -25,6 +25,17 @@ in a moderate neighborhood, NewtonSLRA near the set, with merit-decrease
 safeguards). retract() picks the policy from one RetractionConfig, the only
 thing that configures a retraction: tapr's thresholds are constants, and
 mf.schur_solve picks its route from the problem sizes.
+
+The two linear-rate sweeps are one fused kernel, mf.sweep: the sphere step
+on the binary rows, the affine projection through the cached
+K = A^T (A A^T)^{-1} and the residual pass of the result, with no input
+checks inside the loop. apm_step and iap_step are thin wrappers over it
+that also hand back that residual when given the current one; retract's
+APM and iAP kinds, tapr's APM and iAP phases and the Newton family's APM
+fallback all step through them (_sweep), so each such step costs one
+residual pass, whose sphere violations h the next iAP sweep reuses. The
+loop calls the wrappers, not mf.sweep, only so that a tracer of the step
+maps still sees one span per step (see apm_step).
 """
 
 from __future__ import annotations
@@ -146,14 +157,26 @@ def retract_tol(grad_norm: float, i: int) -> float:
 # single-step maps
 
 
-def apm_step(M, R):
-    """One alternating-projection sweep; the output sits on M1 exactly."""
-    return mf.project_affine(M, mf.project_binary(M, R))
+def apm_step(M, R, res=None):
+    """One alternating-projection sweep by the fused kernel mf.sweep; the
+    output P sits on M1 exactly.
+
+    res is R's mf.residual_norms when the caller holds it; the step then
+    returns (P, residual_norms(M, P)), both from the one kernel call, and P
+    alone otherwise. Only the retraction loop passes res. It steps through
+    apm_step rather than mf.sweep so that a tracer wrapping the module's
+    step maps sees one apm_step span per APM step; the pair return can go
+    once tracing reaches mf.sweep itself."""
+    P, res_P = mf.sweep(M, np.asarray(R, dtype=float))
+    return P if res is None else (P, res_P)
 
 
-def iap_step(M, R):
-    """Like apm_step with the sphere projection linearized at R."""
-    return mf.project_affine(M, mf.linearized_project(M, R))
+def iap_step(M, R, res=None):
+    """Like apm_step with the sphere projection linearized at R. Given res,
+    the linearization reuses R's sphere violations res[2]."""
+    h = None if res is None else res[2]
+    P, res_P = mf.sweep(M, np.asarray(R, dtype=float), linearized=True, h=h)
+    return P if res is None else (P, res_P)
 
 
 def newton_slra_step(M, R):
@@ -400,16 +423,14 @@ def _step_with_retry(step, y, iteration):
         raise
 
 
-def _validate_base_and_tangent(M, x, eta, base_tol=None):
+def _validate_base_and_tangent(M, x, eta, base_res=None):
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
     if x.shape != (M.dims.N, M.dims.r) or eta.shape != x.shape:
         raise ValueError("x and eta must both have shape (N, r)")
     if not (np.isfinite(x).all() and np.isfinite(eta).all()):
         raise ValueError("x and eta must be finite")
-    allow = mf.FEASIBILITY_TOL if base_tol is None else float(base_tol)
-    if mf.combined_residual(M, x) > allow * (mf.frobenius_norm(x) + 1.0):
-        raise ValueError("base point x is not on the manifold within tolerance")
+    mf.check_base(M, x, base_res)
     esc = mf.frobenius_norm(eta) + 1.0
     if mf.frobenius_norm(M.affine.A @ eta) > 1e-8 * esc:
         raise ValueError("eta violates the linearized affine constraints")
@@ -423,16 +444,28 @@ def _bound(tol, tol_absolute, Y):
     return tol if tol_absolute else tol * (mf.frobenius_norm(Y) + 1.0)
 
 
+def _sweep(M, y, res, i, linearized=False):
+    """One apm_step (or iap_step) from y, whose residual_norms are res, with
+    the degenerate-row retry: (next point, its residual_norms). A retry
+    starts from a bumped copy of y and passes that copy's own residual."""
+    # looked up per call: the step maps are module globals that may be rebound
+    step = iap_step if linearized else apm_step
+    return _step_with_retry(
+        lambda R: step(M, R, res if R is y else mf.residual_norms(M, R)), y, i
+    )
+
+
 def _iterate(M, V, kind, advance, tol, tol_absolute, maxiter, init_tag, start=None, res=None):
     """The one retraction loop. Records V, returns it if it already meets the
     bound, else runs start (retry index 0) and then advance(y, res, i) ->
     (y, res, tag) for i = 1..maxiter until the bound holds. Raises
     MaxIterExceeded carrying the partial result when the budget runs out.
 
-    res is always the pair mf.residual_norms(M, y) = (combined residual,
-    ||h||) of the current point: advance receives y's and returns y's new
-    one, computed once per step, and the bound test and the trace both read
-    it. res, when given here, is V's pair, already computed."""
+    res is always mf.residual_norms(M, y) = (combined residual, ||h||, h)
+    of the current point: advance receives y's and returns y's new one,
+    computed once per step (by the step's own kernel for APM and iAP), and
+    the bound test, the trace and the next iAP sweep all read it. res, when
+    given here, is V's, already computed."""
     trace = IterTrace()
     if res is None:
         res = mf.residual_norms(M, V)
@@ -455,28 +488,22 @@ def _iterate(M, V, kind, advance, tol, tol_absolute, maxiter, init_tag, start=No
     )
 
 
-_NEWTON_FAMILY = (
-    RetractionKind.NewtonSLRA,
-    RetractionKind.RelaxedNewtonSLRA,
-    RetractionKind.APHL,
-)
-
-
-def retract(M, x, eta, cfg: RetractionConfig, base_tol=None) -> RetractionResult:
+def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult:
     """Retraction driver: iterate cfg.kind's step map from x + eta until the
     combined residual meets the bound. Raises MaxIterExceeded (carrying the
     partial result) when the budget runs out. TAPR goes through tapr(); the
-    metric kinds take one metric_project step.
+    metric kinds take one metric_project step; APM and iAP run the fused
+    sweep (mf.sweep), which returns each step's residual with its point.
 
-    base_tol widens the feasibility guard on x (relative, default
-    FEASIBILITY_TOL) for callers whose base legitimately carries the
-    residual of an earlier inexact retraction."""
+    x must pass mf.check_base unless base_res, x's combined residual when
+    the caller holds it (a base that carries the residual of an earlier
+    inexact retraction), is given; then that guard is skipped."""
     if not isinstance(cfg, RetractionConfig):
         raise TypeError("cfg must be a RetractionConfig")
     kind = cfg.kind
     if kind is RetractionKind.TAPR:
-        return tapr(M, x, eta, cfg, base_tol=base_tol)
-    x, eta = _validate_base_and_tangent(M, x, eta, base_tol=base_tol)
+        return tapr(M, x, eta, cfg, base_res=base_res)
+    x, eta = _validate_base_and_tangent(M, x, eta, base_res=base_res)
     V = x + eta
     if kind in (RetractionKind.MetricGWA, RetractionKind.MetricGWANewton):
         method = "gwa" if kind is RetractionKind.MetricGWA else "gwa-newton"
@@ -489,10 +516,16 @@ def retract(M, x, eta, cfg: RetractionConfig, base_tol=None) -> RetractionResult
 
         return _iterate(M, V, kind, project, cfg.tol, cfg.tol_absolute, 1, "init")
 
+    if kind in (RetractionKind.APM, RetractionKind.IAP):
+        linearized, tag = kind is RetractionKind.IAP, kind.value
+
+        def sweep(y, res, i):
+            return (*_sweep(M, y, res, i, linearized), tag)
+
+        return _iterate(M, V, kind, sweep, cfg.tol, cfg.tol_absolute, cfg.maxiter, "init")
+
     # looked up per call: the step maps are module globals that may be rebound
     step = {
-        RetractionKind.APM: lambda R: apm_step(M, R),
-        RetractionKind.IAP: lambda R: iap_step(M, R),
         RetractionKind.NewtonSLRA: lambda R: newton_slra_step(M, R),
         RetractionKind.RelaxedNewtonSLRA: lambda R: relaxed_newton_slra_step(M, R),
         RetractionKind.APHL: lambda R: aphl_step(M, R),
@@ -507,10 +540,9 @@ def retract(M, x, eta, cfg: RetractionConfig, base_tol=None) -> RetractionResult
             if kind is not RetractionKind.RelaxedNewtonSLRA:
                 raise
             y_new, res_new, tag = None, (np.inf, np.inf), "apm-fallback"
-        if kind in _NEWTON_FAMILY and res_new[0] > res[0]:
+        if res_new[0] > res[0]:
             # the local guarantees failed; take one safe sweep instead
-            y_new = _step_with_retry(lambda R: apm_step(M, R), y, i)
-            res_new = mf.residual_norms(M, y_new)
+            y_new, res_new = _sweep(M, y, res, i)
             tag = "apm-fallback"
         return y_new, res_new, tag
 
@@ -518,16 +550,17 @@ def retract(M, x, eta, cfg: RetractionConfig, base_tol=None) -> RetractionResult
     return _iterate(M, V, kind, advance, cfg.tol, cfg.tol_absolute, cfg.maxiter, "init", start)
 
 
-def tapr(M, x, eta, cfg: RetractionConfig, base_tol=None) -> RetractionResult:
+def tapr(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult:
     """Three-phase retraction: APM until err < a1, then iAP with a
     merit-decrease test, then NewtonSLRA once err <= a2 or an iAP probe
     stalls (the _TAPR_* thresholds). A phase policy run by the retraction
     loop: rejected trials keep the current point (step norm 0), fall back
-    one phase, and still count against cfg.maxiter. Takes retract's
-    arguments and ignores cfg.kind."""
+    one phase, and still count against cfg.maxiter. The APM and iAP phases
+    run the fused sweep, as retract does. Takes retract's arguments and
+    ignores cfg.kind."""
     if not isinstance(cfg, RetractionConfig):
         raise TypeError("cfg must be a RetractionConfig")
-    x, eta = _validate_base_and_tangent(M, x, eta, base_tol=base_tol)
+    x, eta = _validate_base_and_tangent(M, x, eta, base_res=base_res)
     a2 = min(_TAPR_A1, cfg.tol * 1e3)
     V = x + eta
     res = mf.residual_norms(M, V)
@@ -536,18 +569,17 @@ def tapr(M, x, eta, cfg: RetractionConfig, base_tol=None) -> RetractionResult:
     phase = "apm"
 
     def advance(y, res, i):
-        # res = (err, ||h||) of y; a reject returns y with its res unchanged
+        # res = mf.residual_norms(M, y) = (err, ||h||, h); a reject returns y
+        # with its res unchanged
         nonlocal phase
         err = res[0]
         if phase == "apm":
-            y = _step_with_retry(lambda R: apm_step(M, R), y, i)
-            res = mf.residual_norms(M, y)
+            y, res = _sweep(M, y, res, i)
             if res[0] < _TAPR_A1:
                 phase = "iap"
             return y, res, "apm"
         if phase == "iap":
-            probe = _step_with_retry(lambda R: iap_step(M, R), y, i)
-            res_probe = mf.residual_norms(M, probe)
+            probe, res_probe = _sweep(M, y, res, i, linearized=True)
             err_probe = res_probe[0]
             slow = err_probe**2 > (1.0 - _TAPR_MU0) * err**2
             if err_probe**2 <= (1.0 - _TAPR_MU1) * err**2:

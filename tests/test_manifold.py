@@ -471,7 +471,9 @@ def test_residual_norms_match_the_two_residuals_bit_for_bit():
             XB = X[M.binary_rows]
             h = np.einsum("ij,ij->i", XB, XB) - XB[:, 0]
             combined = float(np.sqrt(np.linalg.norm(E) ** 2 + np.linalg.norm(h) ** 2))
-            assert mf.residual_norms(M, X) == (combined, float(np.linalg.norm(h)))
+            got_combined, got_nh, got_h = mf.residual_norms(M, X)
+            assert (got_combined, got_nh) == (combined, float(np.linalg.norm(h)))
+            assert got_h.tobytes() == h.tobytes()
             assert mf.combined_residual(M, X) == combined
 
 

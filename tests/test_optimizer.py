@@ -407,7 +407,7 @@ def test_solve_tapr_region_guard_propagates():
 def test_solve_retraction_error_carries_outer_iteration(monkeypatch):
     inst, R0 = custom_setup()
 
-    def failing_retract(M, x, eta, cfg, base_tol=None):
+    def failing_retract(M, x, eta, cfg, base_res=None):
         raise MaxIterExceeded("stuck", result=None)
 
     monkeypatch.setattr(sv, "retract", failing_retract)

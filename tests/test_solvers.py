@@ -382,6 +382,88 @@ def test_iap_residual_contracts_linearly():
 
 
 # ---------------------------------------------------------------------------
+# the fused sweep (mf.sweep) against the formulas it replaced
+
+
+def potrs_sweep(linearized):
+    """apm_step (iap_step when linearized) written as the separate formulas
+    the fused kernel replaced: the sphere step, the affine projection by one
+    potrs Gram solve, R - A^T (A A^T)^{-1} (A R - b e1^T), then its own
+    residual pass."""
+
+    def step(M, R, res=None):
+        P = (mf.linearized_project if linearized else mf.project_binary)(M, R)
+        P = P - M.affine.A.T @ M.affine.gram_solve(mf.affine_residual(M, P))
+        return P if res is None else (P, mf.residual_norms(M, P))
+
+    return step
+
+
+def linear_rate_pairs():
+    """The QKP n=50 lift and a seeded QAP p=8 lift, each with a point x one
+    NewtonSLRA retraction off its vertex and the step 0.3 eta along a unit
+    tangent eta at x: the benchmark's retract-linear inputs, drawn here."""
+    rng = np.random.default_rng(1)
+    W = np.triu(rng.integers(0, 10, size=(8, 8)), 1)
+    D = np.triu(rng.integers(1, 10, size=(8, 8)), 1)
+    qap = pb.QapInstance(p=8, W=(W + W.T).astype(float), D=(D + D.T).astype(float), name="qap8")
+    polish = sv.RetractionConfig(kind=sv.RetractionKind.NewtonSLRA, tol=1e-12)
+    for prob in (pb.lift_qkp(pb.gen_qkp(50, 0.5, 42)), pb.lift_qap(qap)):
+        M = prob.manifold
+        base = pb.feasible_init(prob, M.dims.r)
+        xi = mf.project_tangent(M, base, rng.standard_normal(base.shape)).xi
+        x = sv.retract(M, base, 0.5 * xi / np.linalg.norm(xi), polish).point
+        eta = mf.project_tangent(M, x, rng.standard_normal(x.shape)).xi
+        yield M, x, 0.3 * eta / np.linalg.norm(eta)
+
+
+@pytest.mark.parametrize("kind", ["apm", "iap", "tapr"])
+def test_fused_sweep_matches_the_potrs_formulas(monkeypatch, kind):
+    # K = A^T (A A^T)^{-1} in place of the Gram solve changes the last bits
+    # of each sweep, and nothing else: the same phases and step counts, the
+    # points within 1e-12 and the traced residuals within 1e-9 (relative)
+    cfg = sv.RetractionConfig(kind=sv.RetractionKind(kind), tol=1e-6, maxiter=5000)
+    for M, x, step in linear_rate_pairs():
+        fused = sv.retract(M, x, step, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(sv, "apm_step", potrs_sweep(False))
+            patch.setattr(sv, "iap_step", potrs_sweep(True))
+            oracle = sv.retract(M, x, step, cfg)
+        assert fused.trace.phases == oracle.trace.phases
+        assert len(fused.trace) > 2
+        gap = np.linalg.norm(fused.point - oracle.point)
+        assert gap <= 1e-12 * np.linalg.norm(oracle.point)
+        for got, want in ((fused.trace.combined, oracle.trace.combined),
+                          (fused.trace.binary, oracle.trace.binary)):
+            assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def test_fused_sweep_returns_the_residual_of_its_point():
+    M, x = coupled_setup()
+    V = x + 0.2 * unit_tangent(M, x, seed=41)
+    res = mf.residual_norms(M, V)
+    for linearized, step in ((False, sv.apm_step), (True, sv.iap_step)):
+        P, res_P = step(M, V, res)
+        assert P.tobytes() == step(M, V).tobytes()
+        assert P.tobytes() == mf.sweep(M, V, linearized)[0].tobytes()
+        want = mf.residual_norms(M, P)
+        assert res_P[:2] == want[:2]
+        assert res_P[2].tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("linearized", [False, True], ids=["apm", "iap"])
+def test_sweep_at_a_sphere_centre_raises_with_or_without_h(linearized):
+    M, x = coupled_setup()
+    V = x.copy()
+    V[1] = M.centre
+    h = mf.residual_norms(M, V)[2]
+    for given in (None, h):
+        with pytest.raises(DegenerateRow) as exc:
+            mf.sweep(M, V, linearized, given)
+        assert exc.value.row == 1
+
+
+# ---------------------------------------------------------------------------
 # newton_slra_step
 
 
@@ -987,6 +1069,38 @@ def test_retract_rejects_infeasible_base():
         sv.retract(M, x, np.zeros_like(x), cfg)
 
 
+def test_base_res_skips_the_feasibility_guard(monkeypatch):
+    # without base_res every entry point measures the base and rejects this
+    # one; with it the caller vouches for the base, so even a wrong value
+    # (0.0) passes and nothing is measured
+    M, x = coupled_setup()
+    bad = x.copy()
+    bad[M.free_index] += 1e-3
+    zero = np.zeros_like(bad)
+    v = np.random.default_rng(36).standard_normal(bad.shape)
+    apm = sv.RetractionConfig(kind=sv.RetractionKind.APM, tol=1e-10)
+    entries = {
+        "check_base": lambda **kw: mf.check_base(M, bad, **kw),
+        "project_tangent": lambda **kw: mf.project_tangent(M, bad, v, **kw),
+        "retract": lambda **kw: sv.retract(M, bad, zero, apm, **kw),
+        "tapr": lambda **kw: sv.tapr(M, bad, zero, tapr_cfg(tol=1e-10, maxiter=500), **kw),
+    }
+    measured = []
+
+    def combined_residual(M, R, _fn=mf.combined_residual):
+        measured.append(R)
+        return _fn(M, R)
+
+    monkeypatch.setattr(mf, "combined_residual", combined_residual)
+    for name, entry in entries.items():
+        with pytest.raises(ValueError, match="base point infeasible"):
+            entry()
+        assert len(measured) == 1, name
+        measured.clear()
+        entry(base_res=0.0)
+        assert measured == [], name
+
+
 def test_retract_rejects_non_tangent_eta():
     M = decoupled_manifold(seed=22)
     x = feasible_point(M, seed=22)
@@ -1083,7 +1197,7 @@ def test_relaxed_newton_slra_falls_back_to_apm_on_a_vanishing_direction(monkeypa
     cfg = sv.RetractionConfig(
         kind=sv.RetractionKind.RelaxedNewtonSLRA, tol=1e-12, tol_absolute=True
     )
-    res = sv.retract(M, x, np.zeros_like(x), cfg, base_tol=1.0)
+    res = sv.retract(M, x, np.zeros_like(x), cfg, base_res=mf.combined_residual(M, x))
     assert res.converged
     assert res.trace.phases == ["init", "apm-fallback"]
     assert len(vanished) == 1
@@ -1227,6 +1341,63 @@ def test_step_retry_propagates_second_failure_with_iteration():
     with pytest.raises(DegenerateRow) as exc:
         sv._step_with_retry(step, np.ones((2, 2)), iteration=7)
     assert exc.value.iteration == 7
+
+
+def logged_sweeps(monkeypatch, fail_from=None):
+    """Rebind mf.sweep to a wrapper that logs each input and each
+    DegenerateRow raised. From call fail_from on (0-based), every call
+    raises DegenerateRow(1) instead."""
+    inputs, raised = [], []
+
+    def sweep(M, R, linearized=False, h=None, _fn=mf.sweep):
+        inputs.append(R.copy())
+        try:
+            if fail_from is not None and len(inputs) > fail_from:
+                raise DegenerateRow(1)
+            return _fn(M, R, linearized, h)
+        except DegenerateRow as err:
+            raised.append(err.row)
+            raise
+
+    monkeypatch.setattr(mf, "sweep", sweep)
+    return inputs, raised
+
+
+@pytest.mark.parametrize("kind", ["apm", "iap", "tapr"])
+def test_sweep_at_a_sphere_centre_retries_once_with_the_seeded_bump(monkeypatch, kind):
+    # x + eta puts binary row 1 at its sphere's centre (0.5, 0); no tangent
+    # step reaches it, so the entry check on eta is bypassed
+    M, x = coupled_setup()
+    eta = np.zeros_like(x)
+    eta[1] = M.centre - x[1]
+    V = x + eta
+    assert mf.combined_residual(M, V) < 1.0  # inside tapr's start guard
+    monkeypatch.setattr(sv, "_validate_base_and_tangent", lambda M, x, eta, base_res: (x, eta))
+    inputs, raised = logged_sweeps(monkeypatch)
+    cfg = sv.RetractionConfig(kind=sv.RetractionKind(kind), tol=1e-12, maxiter=1)
+    with pytest.raises(MaxIterExceeded) as exc:
+        sv.retract(M, x, eta, cfg)
+    rng = np.random.default_rng(7_654_321 + 1)
+    bump = rng.standard_normal(M.dims.r)
+    bumped = V.copy()
+    bumped[1] += bump * (1e-12 / np.linalg.norm(bump))
+    assert raised == [1]
+    assert [R.tobytes() for R in inputs] == [V.tobytes(), bumped.tobytes()]
+    step = sv.iap_step if kind == "iap" else sv.apm_step
+    assert exc.value.result.point.tobytes() == step(M, bumped).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["apm", "iap", "tapr"])
+def test_sweep_failing_twice_carries_its_iteration(monkeypatch, kind):
+    M, x = coupled_setup()
+    eta = 0.3 * unit_tangent(M, x, seed=42)
+    inputs, raised = logged_sweeps(monkeypatch, fail_from=2)
+    cfg = sv.RetractionConfig(kind=sv.RetractionKind(kind), tol=1e-15, maxiter=50)
+    with pytest.raises(DegenerateRow) as exc:
+        sv.retract(M, x, eta, cfg)
+    assert (exc.value.row, exc.value.iteration) == (1, 3)
+    assert raised == [1, 1]
+    assert len(inputs) == 4
 
 
 @pytest.mark.parametrize(
