@@ -38,8 +38,8 @@ class DegenerateRow(IsectError):
 
     The row normal c_i = 2 R_i - e1^T vanishes there, so the row projection
     is multivalued and the linearized constraint is undefined. Callers may
-    perturb the row and retry; the drivers in solvers.py do this once
-    automatically.
+    perturb the row and retry; retract's loop in solvers.py does this once
+    for every step, whatever the kind.
     """
 
     def __init__(self, row: int):

@@ -94,7 +94,7 @@ class AffineSystem:
 
     Neither gram_solve nor the kernels built on it check their input for
     NaN or inf: a non-finite input gives a non-finite output. The entry
-    points (retract, tapr, project_tangent, metric_project) check once.
+    points (retract, project_tangent, metric_project) check once.
     """
 
     def __init__(self, A: np.ndarray, b_col: np.ndarray, binary_cols: np.ndarray):

@@ -16,33 +16,35 @@ cheap step map from V = x + eta:
    Gram system by one LAPACK posv call (_pos_solve), bit-identical to
    scipy.linalg.solve(..., assume_a="pos") and with the same checks.
 
-One loop, _iterate, runs every retraction: it records the start, tests the
-residual bound, records each step (phase tag, residuals, step norm) and
-raises MaxIterExceeded with the partial result. A kind supplies
-only its step policy: a step map above with the Newton family's APM
-fallback, one metric_project call, or tapr's phase machine (APM far out, iAP
-in a moderate neighborhood, NewtonSLRA near the set, with merit-decrease
-safeguards). retract() picks the policy from one RetractionConfig, the only
-thing that configures a retraction: tapr's thresholds are constants, and
-mf.schur_solve picks its route from the problem sizes.
+retract() is the only way into a retraction. It checks (x, eta), forms
+V = x + eta and V's residual, and hands them to one loop, _iterate, which
+records the start, tests the residual bound, records each step (phase tag,
+residuals, step norm) and raises MaxIterExceeded with the partial result.
+_iterate is also the one place that retries a step: a step that meets a
+binary row at its sphere's centre (DegenerateRow) runs once more from a
+seeded 1e-12 bump of that row, and any error that escapes carries its
+iteration. A kind supplies only its step policy: a step map above with the
+Newton family's APM fallback, one metric_project call, or tapr's phase
+machine (APM far out, iAP in a moderate neighborhood, NewtonSLRA near the
+set, with merit-decrease safeguards). One RetractionConfig picks the policy
+and is the only thing that configures a retraction: tapr's thresholds are
+constants, and mf.schur_solve picks its route from the problem sizes.
 
 The two linear-rate sweeps are one fused kernel, mf.sweep: the sphere step
 on the binary rows, the affine projection through the cached
 K = A^T (A A^T)^{-1} and the residual pass of the result, with no input
-checks inside the loop. apm_step and iap_step are thin wrappers over it
-that also hand back that residual when given the current one; retract's
-APM and iAP kinds, tapr's APM and iAP phases and the Newton family's APM
-fallback all step through them (_sweep), so each such step costs one
-residual pass, whose sphere violations h the next iAP sweep reuses. The
-loop calls the wrappers, not mf.sweep, only so that a tracer of the step
-maps still sees one span per step (see apm_step).
+checks inside the loop. apm_step and iap_step wrap it and return its pair
+(P, residual_norms(M, P)), so each linear-rate step costs one residual pass,
+whose sphere violations h the next iAP sweep reuses. The policies call the
+wrappers, not mf.sweep, so that a tracer of the step maps sees one span per
+step.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -74,7 +76,6 @@ __all__ = [
     "gwa_newton_iterate",
     "metric_project",
     "retract",
-    "tapr",
     "retract_tol",
 ]
 
@@ -157,26 +158,17 @@ def retract_tol(grad_norm: float, i: int) -> float:
 # single-step maps
 
 
-def apm_step(M, R, res=None):
-    """One alternating-projection sweep by the fused kernel mf.sweep; the
-    output P sits on M1 exactly.
-
-    res is R's mf.residual_norms when the caller holds it; the step then
-    returns (P, residual_norms(M, P)), both from the one kernel call, and P
-    alone otherwise. Only the retraction loop passes res. It steps through
-    apm_step rather than mf.sweep so that a tracer wrapping the module's
-    step maps sees one apm_step span per APM step; the pair return can go
-    once tracing reaches mf.sweep itself."""
-    P, res_P = mf.sweep(M, np.asarray(R, dtype=float))
-    return P if res is None else (P, res_P)
+def apm_step(M, R):
+    """One alternating-projection sweep by the fused kernel mf.sweep:
+    (P, residual_norms(M, P)), P on M1 exactly."""
+    return mf.sweep(M, np.asarray(R, dtype=float))
 
 
-def iap_step(M, R, res=None):
-    """Like apm_step with the sphere projection linearized at R. Given res,
-    the linearization reuses R's sphere violations res[2]."""
-    h = None if res is None else res[2]
-    P, res_P = mf.sweep(M, np.asarray(R, dtype=float), linearized=True, h=h)
-    return P if res is None else (P, res_P)
+def iap_step(M, R, h=None):
+    """Like apm_step with the sphere projection linearized at R. h is R's
+    sphere violations (residual_norms(M, R)[2]) when the caller holds them;
+    the linearization then reuses them."""
+    return mf.sweep(M, np.asarray(R, dtype=float), linearized=True, h=h)
 
 
 def newton_slra_step(M, R):
@@ -365,8 +357,8 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
     """
     if method not in ("gwa", "gwa-newton"):
         raise ValueError("method must be 'gwa' or 'gwa-newton'")
-    if tol <= 0.0 or maxiter < 1:
-        raise ValueError("tol must be positive and maxiter >= 1")
+    if not tol > 0.0 or maxiter != int(maxiter) or maxiter < 1:
+        raise ValueError("tol must be positive and maxiter a positive integer")
     V = np.asarray(V, dtype=float)
     if not np.isfinite(V).all():
         raise ValueError("metric_project needs a finite V")
@@ -377,7 +369,7 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
     step = gwa_iterate if method == "gwa" else gwa_newton_iterate
     Theta = np.zeros((M.dims.m_rows, M.dims.r))
     g_cur = gwa_objective(M, Vp, gamma, Theta)
-    for _ in range(maxiter):
+    for _ in range(int(maxiter)):
         nxt = step(M, Vp, gamma, Theta)
         g_nxt = gwa_objective(M, Vp, gamma, nxt)
         change = mf.frobenius_norm(nxt - Theta)
@@ -401,20 +393,21 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
 # drivers
 
 
-def _step_with_retry(step, y, iteration):
-    """Run one step; on a degenerate-row failure perturb the offending row
-    by 1e-12 (deterministically seeded) and retry once. Any error escaping
-    here carries the iteration index."""
+def _attempt(M, policy, y, res, iteration):
+    """policy(y, res), y's step at the given iteration. On a degenerate-row
+    failure perturb the offending row by 1e-12 (deterministically seeded)
+    and run the policy once more from that copy, with its own residual.
+    Any error escaping here carries the iteration index."""
     try:
-        return step(y)
+        return policy(y, res)
     except DegenerateRow as first:
         rng = np.random.default_rng(7_654_321 + iteration)
         bump = rng.standard_normal(y.shape[1])
         bump *= 1e-12 / np.linalg.norm(bump)
-        bumped = np.array(y, dtype=float, copy=True)
+        bumped = y.copy()
         bumped[first.row] += bump
         try:
-            return step(bumped)
+            return policy(bumped, mf.residual_norms(M, bumped))
         except IsectError as second:
             second.iteration = iteration
             raise
@@ -440,146 +433,126 @@ def _validate_base_and_tangent(M, x, eta, base_res=None):
     return x, eta
 
 
-def _bound(tol, tol_absolute, Y):
-    return tol if tol_absolute else tol * (mf.frobenius_norm(Y) + 1.0)
-
-
-def _sweep(M, y, res, i, linearized=False):
-    """One apm_step (or iap_step) from y, whose residual_norms are res, with
-    the degenerate-row retry: (next point, its residual_norms). A retry
-    starts from a bumped copy of y and passes that copy's own residual."""
-    # looked up per call: the step maps are module globals that may be rebound
-    step = iap_step if linearized else apm_step
-    return _step_with_retry(
-        lambda R: step(M, R, res if R is y else mf.residual_norms(M, R)), y, i
-    )
-
-
-def _iterate(M, V, kind, advance, tol, tol_absolute, maxiter, init_tag, start=None, res=None):
-    """The one retraction loop. Records V, returns it if it already meets the
-    bound, else runs start (retry index 0) and then advance(y, res, i) ->
-    (y, res, tag) for i = 1..maxiter until the bound holds. Raises
-    MaxIterExceeded carrying the partial result when the budget runs out.
+def _iterate(M, V, res, cfg, advance, init_tag="init", start=None):
+    """The one retraction loop. Records V and returns it if it already meets
+    the bound (cfg.tol, relative to ||y||_F + 1 unless cfg.tol_absolute),
+    else runs start(y, res) -> (y, res) once (iteration 0) and then
+    advance(y, res) -> (y, res, tag) for iterations 1..cfg.maxiter until the
+    bound holds, each through _attempt. Raises MaxIterExceeded carrying the
+    partial result when the budget runs out.
 
     res is always mf.residual_norms(M, y) = (combined residual, ||h||, h)
-    of the current point: advance receives y's and returns y's new one,
-    computed once per step (by the step's own kernel for APM and iAP), and
-    the bound test, the trace and the next iAP sweep all read it. res, when
-    given here, is V's, already computed."""
+    of the current point, computed once per step (by the step's own kernel
+    for APM and iAP): the bound test, the trace and the next iAP sweep all
+    read it."""
     trace = IterTrace()
-    if res is None:
-        res = mf.residual_norms(M, V)
     trace.record(init_tag, res[0], res[1], 0.0)
-    if res[0] <= _bound(tol, tol_absolute, V):
-        return RetractionResult(point=V, converged=True, trace=trace)
-    y = V
-    if start is not None:
-        y = _step_with_retry(start, V, 0)
-        res = mf.residual_norms(M, y)
-    for i in range(1, maxiter + 1):
-        y_new, res, tag = advance(y, res, i)
+    y, i = V, 0
+    while res[0] > (cfg.tol if cfg.tol_absolute else cfg.tol * (mf.frobenius_norm(y) + 1.0)):
+        if i == cfg.maxiter:
+            raise MaxIterExceeded(
+                f"retraction ({cfg.kind.value}) missed tol {cfg.tol:g} "
+                f"in {cfg.maxiter} iterations",
+                result=RetractionResult(point=y, converged=False, trace=trace),
+            )
+        if i == 0 and start is not None:
+            y, res = _attempt(M, start, y, res, 0)
+        i += 1
+        y_new, res, tag = _attempt(M, advance, y, res, i)
         trace.record(tag, res[0], res[1], mf.frobenius_norm(y_new - y))
         y = y_new
-        if res[0] <= _bound(tol, tol_absolute, y):
-            return RetractionResult(point=y, converged=True, trace=trace)
-    raise MaxIterExceeded(
-        f"retraction ({kind.value}) missed tol {tol:g} in {maxiter} iterations",
-        result=RetractionResult(point=y, converged=False, trace=trace),
-    )
+    return RetractionResult(point=y, converged=True, trace=trace)
 
 
 def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult:
-    """Retraction driver: iterate cfg.kind's step map from x + eta until the
-    combined residual meets the bound. Raises MaxIterExceeded (carrying the
-    partial result) when the budget runs out. TAPR goes through tapr(); the
-    metric kinds take one metric_project step; APM and iAP run the fused
-    sweep (mf.sweep), which returns each step's residual with its point.
+    """Retraction driver: iterate cfg.kind's step policy from V = x + eta
+    until the combined residual meets the bound. Raises MaxIterExceeded
+    (carrying the partial result) when the budget runs out. APM and iAP run
+    the fused sweep (mf.sweep), which returns each step's residual with its
+    point; the metric kinds take one metric_project step; TAPR runs tapr's
+    phase machine.
 
     x must pass mf.check_base unless base_res, x's combined residual when
     the caller holds it (a base that carries the residual of an earlier
     inexact retraction), is given; then that guard is skipped."""
     if not isinstance(cfg, RetractionConfig):
         raise TypeError("cfg must be a RetractionConfig")
-    kind = cfg.kind
-    if kind is RetractionKind.TAPR:
-        return tapr(M, x, eta, cfg, base_res=base_res)
     x, eta = _validate_base_and_tangent(M, x, eta, base_res=base_res)
     V = x + eta
+    res = mf.residual_norms(M, V)
+    kind = cfg.kind
+    # the step maps and tapr are looked up per call: they are module globals
+    # that may be rebound
+    if kind is RetractionKind.TAPR:
+        return tapr(M, V, res, cfg)
     if kind in (RetractionKind.MetricGWA, RetractionKind.MetricGWANewton):
         method = "gwa" if kind is RetractionKind.MetricGWA else "gwa-newton"
 
-        def project(y, res, i):
+        def project(y, res):
             # dual tolerance sits below the primal target so the recovered
             # point clears the residual bound
             point = metric_project(M, y, method=method, tol=cfg.tol * 1e-2, maxiter=cfg.maxiter)
             return point, mf.residual_norms(M, point), kind.value
 
-        return _iterate(M, V, kind, project, cfg.tol, cfg.tol_absolute, 1, "init")
+        return _iterate(M, V, res, replace(cfg, maxiter=1), project)
 
-    if kind in (RetractionKind.APM, RetractionKind.IAP):
-        linearized, tag = kind is RetractionKind.IAP, kind.value
+    if kind is RetractionKind.APM:
+        return _iterate(M, V, res, cfg, lambda y, res: (*apm_step(M, y), kind.value))
+    if kind is RetractionKind.IAP:
+        return _iterate(M, V, res, cfg, lambda y, res: (*iap_step(M, y, res[2]), kind.value))
 
-        def sweep(y, res, i):
-            return (*_sweep(M, y, res, i, linearized), tag)
-
-        return _iterate(M, V, kind, sweep, cfg.tol, cfg.tol_absolute, cfg.maxiter, "init")
-
-    # looked up per call: the step maps are module globals that may be rebound
     step = {
         RetractionKind.NewtonSLRA: lambda R: newton_slra_step(M, R),
         RetractionKind.RelaxedNewtonSLRA: lambda R: relaxed_newton_slra_step(M, R),
         RetractionKind.APHL: lambda R: aphl_step(M, R),
     }[kind]
 
-    def advance(y, res, i):
+    def advance(y, res):
         tag = kind.value
         try:
-            y_new = _step_with_retry(step, y, i)
+            y_new = step(y)
             res_new = mf.residual_norms(M, y_new)
         except VanishingDirection:
             if kind is not RetractionKind.RelaxedNewtonSLRA:
                 raise
-            y_new, res_new, tag = None, (np.inf, np.inf), "apm-fallback"
+            y_new, res_new = None, (np.inf,)
         if res_new[0] > res[0]:
             # the local guarantees failed; take one safe sweep instead
-            y_new, res_new = _sweep(M, y, res, i)
+            y_new, res_new = apm_step(M, y)
             tag = "apm-fallback"
         return y_new, res_new, tag
 
-    start = (lambda R: mf.project_binary(M, R)) if kind is RetractionKind.APHL else None
-    return _iterate(M, V, kind, advance, cfg.tol, cfg.tol_absolute, cfg.maxiter, "init", start)
+    def start(y, res):
+        P = mf.project_binary(M, y)
+        return P, mf.residual_norms(M, P)
+
+    return _iterate(M, V, res, cfg, advance, start=start if kind is RetractionKind.APHL else None)
 
 
-def tapr(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult:
-    """Three-phase retraction: APM until err < a1, then iAP with a
-    merit-decrease test, then NewtonSLRA once err <= a2 or an iAP probe
-    stalls (the _TAPR_* thresholds). A phase policy run by the retraction
-    loop: rejected trials keep the current point (step norm 0), fall back
-    one phase, and still count against cfg.maxiter. The APM and iAP phases
-    run the fused sweep, as retract does. Takes retract's arguments and
-    ignores cfg.kind."""
-    if not isinstance(cfg, RetractionConfig):
-        raise TypeError("cfg must be a RetractionConfig")
-    x, eta = _validate_base_and_tangent(M, x, eta, base_res=base_res)
-    a2 = min(_TAPR_A1, cfg.tol * 1e3)
-    V = x + eta
-    res = mf.residual_norms(M, V)
+def tapr(M, V, res, cfg: RetractionConfig) -> RetractionResult:
+    """retract's TAPR policy from V = x + eta, whose residual_norms are res:
+    APM until err < a1, then iAP with a merit-decrease test, then NewtonSLRA
+    once err <= a2 or an iAP probe stalls (the _TAPR_* thresholds). Raises
+    InitialResidualTooLarge when err > a0 at V. Rejected trials keep the
+    current point (step norm 0), fall back one phase, and still count
+    against cfg.maxiter."""
     if res[0] > _TAPR_A0:
         raise InitialResidualTooLarge(res[0], _TAPR_A0)
+    a2 = min(_TAPR_A1, cfg.tol * 1e3)
     phase = "apm"
 
-    def advance(y, res, i):
+    def advance(y, res):
         # res = mf.residual_norms(M, y) = (err, ||h||, h); a reject returns y
         # with its res unchanged
         nonlocal phase
         err = res[0]
         if phase == "apm":
-            y, res = _sweep(M, y, res, i)
+            y, res = apm_step(M, y)
             if res[0] < _TAPR_A1:
                 phase = "iap"
             return y, res, "apm"
         if phase == "iap":
-            probe, res_probe = _sweep(M, y, res, i, linearized=True)
+            probe, res_probe = iap_step(M, y, res[2])
             err_probe = res_probe[0]
             slow = err_probe**2 > (1.0 - _TAPR_MU0) * err**2
             if err_probe**2 <= (1.0 - _TAPR_MU1) * err**2:
@@ -589,13 +562,11 @@ def tapr(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult:
             if res[0] <= a2 or slow:
                 phase = "newton"
             return y, res, tag
-        probe = _step_with_retry(lambda R: newton_slra_step(M, R), y, i)
+        probe = newton_slra_step(M, y)
         res_probe = mf.residual_norms(M, probe)
         if res_probe[0] ** 2 <= (1.0 - _TAPR_MU2) * err**2:
             return probe, res_probe, "newton"
         phase = "iap"
         return y, res, "newton-reject"
 
-    return _iterate(
-        M, V, RetractionKind.TAPR, advance, cfg.tol, cfg.tol_absolute, cfg.maxiter, "apm", res=res
-    )
+    return _iterate(M, V, res, cfg, advance, init_tag="apm")

@@ -343,7 +343,7 @@ def test_criterion_09_sphere_expansion_suite():
 def test_criterion_10_tapr_conformance():
     M, x = ts.qkp_setup(n=12, r=3, seed=6)
     eta = 0.5 * ts.unit_tangent(M, x, seed=29)
-    res = sv.tapr(M, x, eta, ts.tapr_cfg(tol=1e-11, maxiter=300, tol_absolute=True))
+    res = sv.retract(M, x, eta, ts.tapr_cfg(tol=1e-11, maxiter=300, tol_absolute=True))
     assert res.converged
     tags, errs = res.trace.phases, res.trace.combined
     a1, mu0, mu2 = sv._TAPR_A1, sv._TAPR_MU0, sv._TAPR_MU2
@@ -378,7 +378,7 @@ def test_criterion_10_tapr_conformance():
 
     # inside the second-order basin the hybrid lands on the NewtonSLRA limit
     eta_small = 1e-3 * ts.unit_tangent(M, x, seed=30)
-    res_small = sv.tapr(M, x, eta_small, ts.tapr_cfg(tol=1e-12, maxiter=300, tol_absolute=True))
+    res_small = sv.retract(M, x, eta_small, ts.tapr_cfg(tol=1e-12, maxiter=300, tol_absolute=True))
     cfg = sv.RetractionConfig(kind=K.NewtonSLRA, tol=1e-12, maxiter=100, tol_absolute=True)
     ref = sv.retract(M, x, eta_small, cfg)
     basin_gap = np.linalg.norm(res_small.point - ref.point) / (np.linalg.norm(ref.point) + 1.0)

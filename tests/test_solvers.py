@@ -322,14 +322,14 @@ def test_retraction_config_validation():
 def test_apm_step_fixed_point():
     M = decoupled_manifold(seed=1)
     R = feasible_point(M, seed=1)
-    assert np.allclose(sv.apm_step(M, R), R, atol=1e-12)
+    assert np.allclose(sv.apm_step(M, R)[0], R, atol=1e-12)
 
 
 def test_apm_step_lands_on_affine_set():
     M = decoupled_manifold(seed=2)
     rng = np.random.default_rng(5)
     R = feasible_point(M, seed=2) + 0.1 * rng.standard_normal((M.dims.N, M.dims.r))
-    out = sv.apm_step(M, R)
+    out = sv.apm_step(M, R)[0]
     scale = np.linalg.norm(out) + 1.0
     assert np.linalg.norm(mf.affine_residual(M, out)) < 1e-10 * scale
 
@@ -342,7 +342,7 @@ def test_apm_step_displacement_second_order_in_t():
     moves = []
     for t in ts:
         R = x + t * eta
-        moves.append(np.linalg.norm(sv.apm_step(M, R) - R))
+        moves.append(np.linalg.norm(sv.apm_step(M, R)[0] - R))
     slope = np.polyfit(np.log10(ts), np.log10(moves), 1)[0]
     assert slope >= 1.8
 
@@ -350,7 +350,7 @@ def test_apm_step_displacement_second_order_in_t():
 def test_iap_step_fixed_point():
     M = decoupled_manifold(seed=4)
     R = feasible_point(M, seed=4)
-    assert np.allclose(sv.iap_step(M, R), R, atol=1e-12)
+    assert np.allclose(sv.iap_step(M, R)[0], R, atol=1e-12)
 
 
 def test_iap_matches_apm_to_second_order():
@@ -362,7 +362,7 @@ def test_iap_matches_apm_to_second_order():
     for t in np.logspace(-2, -5, 6):
         R = x + t * W
         d = np.linalg.norm(mf.project_binary(M, R) - R)
-        gap = np.linalg.norm(sv.iap_step(M, R) - sv.apm_step(M, R))
+        gap = np.linalg.norm(sv.iap_step(M, R)[0] - sv.apm_step(M, R)[0])
         ratios.append(gap / d**2)
     med = np.median(ratios)
     assert np.max(ratios) <= 10 * med
@@ -374,7 +374,7 @@ def test_iap_residual_contracts_linearly():
     R = x + 1e-2 * unit_tangent(M, x, seed=6)
     res = [mf.combined_residual(M, R)]
     for _ in range(8):
-        R = sv.iap_step(M, R)
+        R = sv.iap_step(M, R)[0]
         res.append(mf.combined_residual(M, R))
     res = np.array(res)
     live = res > 1e-14
@@ -391,10 +391,10 @@ def potrs_sweep(linearized):
     potrs Gram solve, R - A^T (A A^T)^{-1} (A R - b e1^T), then its own
     residual pass."""
 
-    def step(M, R, res=None):
+    def step(M, R, h=None):
         P = (mf.linearized_project if linearized else mf.project_binary)(M, R)
         P = P - M.affine.A.T @ M.affine.gram_solve(mf.affine_residual(M, P))
-        return P if res is None else (P, mf.residual_norms(M, P))
+        return P, mf.residual_norms(M, P)
 
     return step
 
@@ -442,9 +442,7 @@ def test_fused_sweep_returns_the_residual_of_its_point():
     M, x = coupled_setup()
     V = x + 0.2 * unit_tangent(M, x, seed=41)
     res = mf.residual_norms(M, V)
-    for linearized, step in ((False, sv.apm_step), (True, sv.iap_step)):
-        P, res_P = step(M, V, res)
-        assert P.tobytes() == step(M, V).tobytes()
+    for linearized, (P, res_P) in ((False, sv.apm_step(M, V)), (True, sv.iap_step(M, V, res[2]))):
         assert P.tobytes() == mf.sweep(M, V, linearized)[0].tobytes()
         want = mf.residual_norms(M, P)
         assert res_P[:2] == want[:2]
@@ -1013,8 +1011,6 @@ def test_retract_and_tapr_reject_nonfinite_input_before_any_step(monkeypatch, va
             cfg = sv.RetractionConfig(kind=kind, tol=1e-10, maxiter=50)
             with pytest.raises(ValueError):
                 sv.retract(M, bad_x, bad_eta, cfg)
-        with pytest.raises(ValueError):
-            sv.tapr(M, bad_x, bad_eta, tapr_cfg(tol=1e-10, maxiter=50))
     assert done == []
 
 
@@ -1026,6 +1022,19 @@ def test_metric_project_rejects_nonfinite_input_before_any_step(monkeypatch, val
     for method in ("gwa", "gwa-newton"):
         with pytest.raises(ValueError):
             sv.metric_project(M, V, method=method)
+    assert done == []
+
+
+@pytest.mark.parametrize(
+    "bad", [{"tol": np.nan}, {"maxiter": 2.5}], ids=["tol-nan", "maxiter-2.5"]
+)
+def test_metric_project_rejects_a_bad_tol_or_maxiter_before_any_step(monkeypatch, bad):
+    M, x = coupled_setup()
+    V = x + 0.1 * unit_tangent(M, x, seed=32)
+    done = count_completed_steps(monkeypatch)
+    for method in ("gwa", "gwa-newton"):
+        with pytest.raises(ValueError):
+            sv.metric_project(M, V, method=method, **bad)
     assert done == []
 
 
@@ -1083,7 +1092,7 @@ def test_base_res_skips_the_feasibility_guard(monkeypatch):
         "check_base": lambda **kw: mf.check_base(M, bad, **kw),
         "project_tangent": lambda **kw: mf.project_tangent(M, bad, v, **kw),
         "retract": lambda **kw: sv.retract(M, bad, zero, apm, **kw),
-        "tapr": lambda **kw: sv.tapr(M, bad, zero, tapr_cfg(tol=1e-10, maxiter=500), **kw),
+        "tapr": lambda **kw: sv.retract(M, bad, zero, tapr_cfg(tol=1e-10, maxiter=500), **kw),
     }
     measured = []
 
@@ -1131,19 +1140,29 @@ def test_retract_maxiter_carries_partial_result():
         assert res.trace.combined[-1] == mf.combined_residual(M, res.point), kind
 
 
-def test_retract_tapr_is_tapr_with_default_params():
+def test_retract_calls_tapr_and_the_step_maps_through_the_module(monkeypatch):
+    # perfbench's tracer rebinds sv.tapr and the step maps and reads the
+    # RetractionResult that sv.tapr returns: a TAPR retraction must return
+    # that one call's result, and every APM step must be one sv.apm_step call
     M, x = qkp_setup(n=12, r=3, seed=6)
     eta = 0.5 * unit_tangent(M, x, seed=29)
-    cfg = sv.RetractionConfig(
-        kind=sv.RetractionKind.TAPR, tol=1e-11, maxiter=300, tol_absolute=True
-    )
-    via_retract = sv.retract(M, x, eta, cfg)
-    direct = sv.tapr(M, x, eta, cfg)
-    assert via_retract.converged
-    assert np.array_equal(via_retract.point, direct.point)
-    a, b = via_retract.trace, direct.trace
-    assert a.phases == b.phases and a.combined == b.combined
-    assert a.binary == b.binary and a.step_norms == b.step_norms
+    calls = {"tapr": [], "apm_step": []}
+    for name, log in calls.items():
+        def counted(*args, _fn=getattr(sv, name), _log=log, **kwargs):
+            out = _fn(*args, **kwargs)
+            _log.append(out)
+            return out
+
+        monkeypatch.setattr(sv, name, counted)
+    res = sv.retract(M, x, eta, tapr_cfg(tol=1e-11, maxiter=300, tol_absolute=True))
+    assert len(calls["tapr"]) == 1 and calls["tapr"][0] is res
+    assert len(calls["apm_step"]) == res.trace.phases[1:].count("apm") > 0
+    for log in calls.values():
+        log.clear()
+    apm = sv.RetractionConfig(kind=sv.RetractionKind.APM, tol=1e-6, maxiter=5000)
+    res = sv.retract(M, x, eta, apm)
+    assert calls["tapr"] == []
+    assert len(calls["apm_step"]) == len(res.trace) - 1 > 0
 
 
 def test_retract_apm_binary_residual_contracts():
@@ -1221,7 +1240,7 @@ def test_retract_tol_absolute_flag():
 
 def test_tapr_zero_eta():
     M, x = qkp_setup(n=10, r=3, seed=2)
-    res = sv.tapr(M, x, np.zeros_like(x), tapr_cfg(tol=1e-9, maxiter=50))
+    res = sv.retract(M, x, np.zeros_like(x), tapr_cfg(tol=1e-9, maxiter=50))
     assert res.converged
     assert np.array_equal(res.point, x)
     # zero steps taken: the only record is the initial one, in the APM phase
@@ -1233,13 +1252,13 @@ def test_tapr_initial_residual_guard(monkeypatch):
     eta = 5.0 * unit_tangent(M, x, seed=28)
     monkeypatch.setattr(sv, "_TAPR_A0", 1e-6)
     with pytest.raises(InitialResidualTooLarge):
-        sv.tapr(M, x, eta, tapr_cfg(tol=1e-9, maxiter=50))
+        sv.retract(M, x, eta, tapr_cfg(tol=1e-9, maxiter=50))
 
 
 def test_tapr_converges_and_traces_phases():
     M, x = qkp_setup(n=12, r=3, seed=6)
     eta = 0.5 * unit_tangent(M, x, seed=29)
-    res = sv.tapr(M, x, eta, tapr_cfg(tol=1e-11, maxiter=300, tol_absolute=True))
+    res = sv.retract(M, x, eta, tapr_cfg(tol=1e-11, maxiter=300, tol_absolute=True))
     assert res.converged
     assert mf.combined_residual(M, res.point) <= 1e-11
     assert res.trace.phases[0] == "apm"  # initial record, no step yet
@@ -1263,7 +1282,7 @@ def test_tapr_degenerate_thresholds_match_newton_limit(monkeypatch):
     # limit maps of the hybrid and of plain NewtonSLRA agree to third order
     eta = 1e-3 * unit_tangent(M, x, seed=30)
     monkeypatch.setattr(sv, "_TAPR_A1", 0.999)
-    res = sv.tapr(M, x, eta, tapr_cfg(tol=1e-12, maxiter=100, tol_absolute=True))
+    res = sv.retract(M, x, eta, tapr_cfg(tol=1e-12, maxiter=100, tol_absolute=True))
     assert res.converged
     # after the first APM iteration the machine moves through one iAP
     # iteration into the second-order phase
@@ -1280,7 +1299,7 @@ def test_tapr_degenerate_thresholds_match_newton_limit(monkeypatch):
 def test_tapr_accepted_newton_steps_decrease_merit():
     M, x = qkp_setup(n=12, r=3, seed=6)
     eta = 0.5 * unit_tangent(M, x, seed=31)
-    res = sv.tapr(M, x, eta, tapr_cfg(tol=1e-12, maxiter=300, tol_absolute=True))
+    res = sv.retract(M, x, eta, tapr_cfg(tol=1e-12, maxiter=300, tol_absolute=True))
     errs = res.trace.combined
     for k, tag in enumerate(res.trace.phases):
         if tag == "newton" and k >= 1:
@@ -1296,7 +1315,7 @@ def test_tapr_rejections_count_against_maxiter(monkeypatch):
     monkeypatch.setattr(sv, "_TAPR_MU1", 1 - 1e-12)
     monkeypatch.setattr(sv, "_TAPR_MU2", 1 - 1e-12)
     with pytest.raises(MaxIterExceeded) as exc:
-        sv.tapr(M, x, eta, tapr_cfg(tol=1e-13, maxiter=8, tol_absolute=True))
+        sv.retract(M, x, eta, tapr_cfg(tol=1e-13, maxiter=8, tol_absolute=True))
     res = exc.value.result
     assert res is not None
     # every trial, accepted or rejected, appears in the trace
@@ -1313,85 +1332,104 @@ def test_tapr_rejections_count_against_maxiter(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# degenerate-row retry inside the drivers
+# degenerate-row retry inside the retraction loop
 
 
 def test_step_retry_perturbs_offending_row_once():
+    # the retry reruns the whole policy from the bumped copy, with that
+    # copy's own residual
+    M, x = coupled_setup()
     recorded = []
 
-    def step(R):
-        recorded.append(R.copy())
+    def policy(R, res):
+        recorded.append((R.copy(), res))
         if len(recorded) == 1:
             raise DegenerateRow(1)
         return R + 1.0
 
-    y = np.ones((3, 2))
-    out = sv._step_with_retry(step, y, iteration=4)
+    res_x = mf.residual_norms(M, x)
+    out = sv._attempt(M, policy, x, res_x, iteration=4)
     assert len(recorded) == 2
-    assert np.array_equal(out, recorded[1] + 1.0)
-    bump = recorded[1] - y
-    assert np.all(bump[0] == 0.0) and np.all(bump[2] == 0.0)
+    (first, res_first), (bumped, res_bumped) = recorded
+    assert np.array_equal(first, x) and res_first is res_x
+    assert np.array_equal(out, bumped + 1.0)
+    bump = bumped - x
+    assert np.all(np.delete(bump, 1, axis=0) == 0.0)
     assert np.linalg.norm(bump[1]) == pytest.approx(1e-12)
+    want = mf.residual_norms(M, bumped)
+    assert res_bumped[:2] == want[:2] and res_bumped[2].tobytes() == want[2].tobytes()
 
 
 def test_step_retry_propagates_second_failure_with_iteration():
-    def step(R):
+    M, x = coupled_setup()
+
+    def policy(R, res):
         raise DegenerateRow(0)
 
     with pytest.raises(DegenerateRow) as exc:
-        sv._step_with_retry(step, np.ones((2, 2)), iteration=7)
+        sv._attempt(M, policy, x, mf.residual_norms(M, x), iteration=7)
     assert exc.value.iteration == 7
 
 
-def logged_sweeps(monkeypatch, fail_from=None):
-    """Rebind mf.sweep to a wrapper that logs each input and each
+def logged_calls(monkeypatch, owner, name, fail_from=None):
+    """Rebind owner.name, a function called as fn(M, R, ...) (mf.sweep or
+    sv.metric_project), to a wrapper that logs each input R and each
     DegenerateRow raised. From call fail_from on (0-based), every call
     raises DegenerateRow(1) instead."""
     inputs, raised = [], []
 
-    def sweep(M, R, linearized=False, h=None, _fn=mf.sweep):
+    def logged(M, R, *args, _fn=getattr(owner, name), **kwargs):
         inputs.append(R.copy())
         try:
             if fail_from is not None and len(inputs) > fail_from:
                 raise DegenerateRow(1)
-            return _fn(M, R, linearized, h)
+            return _fn(M, R, *args, **kwargs)
         except DegenerateRow as err:
             raised.append(err.row)
             raise
 
-    monkeypatch.setattr(mf, "sweep", sweep)
+    monkeypatch.setattr(owner, name, logged)
     return inputs, raised
 
 
-@pytest.mark.parametrize("kind", ["apm", "iap", "tapr"])
+@pytest.mark.parametrize("kind", ["apm", "iap", "tapr", "metric-gwa-newton"])
 def test_sweep_at_a_sphere_centre_retries_once_with_the_seeded_bump(monkeypatch, kind):
     # x + eta puts binary row 1 at its sphere's centre (0.5, 0); no tangent
-    # step reaches it, so the entry check on eta is bypassed
+    # step reaches it, so the entry check on eta is bypassed. The dual Newton
+    # step of metric-gwa-newton fails there too, and again from the bump:
+    # rounding in V' = V - 0.5 e1^T leaves that row's norm 9.9995e-13, below
+    # the dual weight floor 1e-12
+    metric = kind == "metric-gwa-newton"
     M, x = coupled_setup()
     eta = np.zeros_like(x)
     eta[1] = M.centre - x[1]
     V = x + eta
     assert mf.combined_residual(M, V) < 1.0  # inside tapr's start guard
     monkeypatch.setattr(sv, "_validate_base_and_tangent", lambda M, x, eta, base_res: (x, eta))
-    inputs, raised = logged_sweeps(monkeypatch)
+    logged = (sv, "metric_project") if metric else (mf, "sweep")
+    inputs, raised = logged_calls(monkeypatch, *logged)
     cfg = sv.RetractionConfig(kind=sv.RetractionKind(kind), tol=1e-12, maxiter=1)
-    with pytest.raises(MaxIterExceeded) as exc:
+    with pytest.raises(DegenerateRow if metric else MaxIterExceeded) as exc:
         sv.retract(M, x, eta, cfg)
     rng = np.random.default_rng(7_654_321 + 1)
     bump = rng.standard_normal(M.dims.r)
     bumped = V.copy()
     bumped[1] += bump * (1e-12 / np.linalg.norm(bump))
-    assert raised == [1]
     assert [R.tobytes() for R in inputs] == [V.tobytes(), bumped.tobytes()]
+    if metric:
+        assert raised == [1, 1]
+        assert (exc.value.row, exc.value.iteration) == (1, 1)
+        return
+    assert raised == [1]
     step = sv.iap_step if kind == "iap" else sv.apm_step
-    assert exc.value.result.point.tobytes() == step(M, bumped).tobytes()
+    assert exc.value.result.point.tobytes() == step(M, bumped)[0].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["apm", "iap", "tapr"])
 def test_sweep_failing_twice_carries_its_iteration(monkeypatch, kind):
     M, x = coupled_setup()
     eta = 0.3 * unit_tangent(M, x, seed=42)
-    inputs, raised = logged_sweeps(monkeypatch, fail_from=2)
+    inputs, raised = logged_calls(monkeypatch, mf, "sweep", fail_from=2)
     cfg = sv.RetractionConfig(kind=sv.RetractionKind(kind), tol=1e-15, maxiter=50)
     with pytest.raises(DegenerateRow) as exc:
         sv.retract(M, x, eta, cfg)
