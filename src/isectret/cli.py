@@ -243,7 +243,9 @@ def _report_cells(report) -> list:
 
 
 def _cmd_solve(args) -> int:
-    kind = _parse_kinds(args.kind)[0]
+    kind, *extra = _parse_kinds(args.kind)
+    if extra:
+        raise UsageError(f"--kind takes one retraction kind, got {args.kind!r}")
     _check_descent_flags(args)
     if args.r is not None and args.r < 1:
         raise UsageError(f"--r must be at least 1, got {args.r}")
@@ -303,14 +305,10 @@ def _cmd_project(args) -> int:
         raise UsageError(str(err))
     except ValueError as err:
         raise UsageError(f"cannot parse {args.input_point}: {err}")
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    expected = (M.dims.N, M.dims.r)
-    if V.shape != expected:
-        raise UsageError(
-            f"input point has shape {V.shape}, instance expects {expected}"
-        )
-    if not np.isfinite(V).all():
-        raise UsageError(f"input point in {args.input_point} contains nan or inf")
+    try:
+        V = mf.check_point(M, np.atleast_2d(V), f"input point in {args.input_point}")
+    except ValueError as err:
+        raise UsageError(str(err))
     P = sv.metric_project(M, V, method=args.method)
     lines = [" ".join(repr(float(v)) for v in row) for row in P]
     _atomic_write(args.out, "\n".join(lines) + "\n")

@@ -21,6 +21,7 @@ from .errors import (
     DegenerateRow,
     NonProjector,
     SingularGram,
+    SingularSchur,
     TangentSolveSingular,
 )
 
@@ -40,6 +41,8 @@ __all__ = [
     "row_normals",
     "project_tangent",
     "check_base",
+    "check_point",
+    "check_count",
     "project_slice",
     "schur_solve",
     "linearized_project",
@@ -94,7 +97,8 @@ class AffineSystem:
 
     Neither gram_solve nor the kernels built on it check their input for
     NaN or inf: a non-finite input gives a non-finite output. The entry
-    points (retract, project_tangent, metric_project) check once.
+    points (retract, project_tangent, metric_project, solve and the CLI's
+    project) check each point once, through check_point.
     """
 
     def __init__(self, A: np.ndarray, b_col: np.ndarray, binary_cols: np.ndarray):
@@ -200,11 +204,32 @@ class TangentVector:
     base: np.ndarray
 
 
-def _check_dims(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
+def _check_dims(M: IntersectionManifold, R: np.ndarray, name: str = "point") -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (M.dims.N, M.dims.r):
-        raise ValueError(f"point has shape {R.shape}, manifold expects {(M.dims.N, M.dims.r)}")
+        raise ValueError(f"{name} has shape {R.shape}, manifold expects {(M.dims.N, M.dims.r)}")
     return R
+
+
+def check_point(M: IntersectionManifold, R, name: str) -> np.ndarray:
+    """The input gate of every entry point: R as a float array, or
+    ValueError naming it when its shape is not (N, r) or it holds nan or
+    inf. The kernels behind the entry points check nothing."""
+    R = _check_dims(M, R, name)
+    if not np.isfinite(R).all():
+        raise ValueError(f"{name} contains nan or inf")
+    return R
+
+
+def check_count(name: str, value) -> int:
+    """value as an int when it is a positive whole number (3.0 passes),
+    else ValueError naming it: for 2.5, 0, nan, inf and non-numbers."""
+    try:
+        if value >= 1 and value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def frobenius_norm(x: np.ndarray):
@@ -406,8 +431,8 @@ def schur_solve(d, C, U, rhs, gram=None):
     and K = Diag(sqrt(v_B)) U0 U0^T Diag(sqrt(v_B)) <= I, is
     (Yhat Yhat^T) o (I - K) >= 0 the same way. The Woodbury core is positive
     definite exactly when the s x s matrix is. A system that is singular,
-    indefinite or not finite raises numpy.linalg.LinAlgError; callers turn
-    it into their own typed error.
+    indefinite or not finite raises numpy.linalg.LinAlgError, which
+    project_slice and gwa_newton_iterate turn into SingularSchur.
 
     Cost: direct forms C C^T (s^2 r flops, plus s^2 m for U U^T when no
     cached one is passed) and factors the s x s matrix (s^3 / 3); smw forms
@@ -468,7 +493,8 @@ def project_slice(
 
     The tangent projector, the NewtonSLRA step and the APHL step are all this
     one projection. A Schur system that is not positive definite raises
-    numpy.linalg.LinAlgError; callers turn it into their own typed error.
+    SingularSchur: this is the one place that turns schur_solve's
+    numpy.linalg.LinAlgError into a typed error for the slice solves.
     """
     A = M.affine.A
     B = M.binary_index
@@ -477,7 +503,10 @@ def project_slice(
     if E is not None:
         rhs = h - np.einsum("ij,ij->i", AB.T @ M.affine.gram_solve(E), C)
     U = M.affine.low_rank_factor
-    mu = schur_solve(d, C, U, rhs, gram=lambda: M.affine.low_rank_gram)
+    try:
+        mu = schur_solve(d, C, U, rhs, gram=lambda: M.affine.low_rank_gram)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSchur(f"slice system singular: {exc}") from exc
     muC = mu[:, None] * C
     Y = AB @ muC
     Lam = -M.affine.gram_solve(Y) if E is None else M.affine.gram_solve(E - Y)
@@ -517,20 +546,20 @@ def project_tangent(
     d_i = ||c_i||^2: the KKT multipliers are eliminated through the cached
     Gram factor and the s x s Schur complement is solved by schur_solve.
 
-    R must pass check_base unless base_res, R's combined residual when the
-    caller holds it, is given; then the guard is skipped.
+    R and v pass check_point, and R must pass check_base unless base_res,
+    R's combined residual when the caller holds it, is given; then the
+    guard is skipped. A singular Schur system (project_slice's
+    SingularSchur) raises TangentSolveSingular.
     """
-    R = _check_dims(M, R)
-    v = _check_dims(M, v)
-    if not (np.isfinite(R).all() and np.isfinite(v).all()):
-        raise ValueError("project_tangent needs finite R and v")
+    R = check_point(M, R, "R")
+    v = check_point(M, v, "v")
     check_base(M, R, base_res)
     C = row_normals(M, R)
     gv = np.einsum("ij,ij->i", C, M.binary_block(v))
     d2 = np.einsum("ij,ij->i", C, C)
     try:
         xi = project_slice(M, v, C, d2, gv, E=M.affine.A @ v)
-    except np.linalg.LinAlgError as e:
+    except SingularSchur as e:
         raise TangentSolveSingular(f"tangent KKT solve failed: {e}") from e
     return TangentVector(xi=xi, base=R)
 

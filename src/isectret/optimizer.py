@@ -71,8 +71,7 @@ class OptimizerConfig:
             raise ValueError("kind must be a RetractionKind")
         if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
-        if self.max_outer != int(self.max_outer) or self.max_outer < 1:
-            raise ValueError("max_outer must be a positive integer")
+        object.__setattr__(self, "max_outer", mf.check_count("max_outer", self.max_outer))
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,7 @@ def _start(inst, R0):
     """The start point (feasible_init for R0=None) and its combined residual."""
     M = inst.manifold
     R = pb.feasible_init(inst, M.dims.r) if R0 is None else np.array(R0, dtype=float)
-    if R.shape != (M.dims.N, M.dims.r):
-        raise ValueError(f"start point must have shape ({M.dims.N}, {M.dims.r})")
+    R = mf.check_point(M, R, "start point")
     res = float(mf.combined_residual(M, R))
     if res > 1e-8:
         raise ValueError(f"start point violates the constraints by {res:.3e}")
@@ -218,8 +216,9 @@ def solve(inst: pb.ProblemInstance, cfg: OptimizerConfig, R0=None) -> SolveRepor
                 f"nonmonotone test rejected {_MAX_HALVINGS} halvings "
                 f"at outer iteration {i}"
             )
-        bound = tol_i * (mf.frobenius_norm(R - t * xi) + 1.0)
         R_new = out.point
+        # the bound _iterate tested the returned point against
+        bound = tol_i * (mf.frobenius_norm(R_new) + 1.0)
         # the retraction trace ends with residual_norms of the point it returns
         res = out.trace.combined[-1]
         xi_new, g_new = _riemannian_grad(M, R_new, gradient(inst, R_new), res)

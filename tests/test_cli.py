@@ -160,6 +160,7 @@ class TestExitCodes:
             ("bench", ["--max-outer", "0"]),
             ("bench", ["--move-start", "nan"]),
             ("bench", ["--repeats", "0"]),
+            ("solve", ["--kind", "apm,iap"]),
         ],
     )
     def test_bad_descent_flag_is_usage_error(self, command, flags, qap_file, tmp_path, capsys):
@@ -442,7 +443,8 @@ class TestProject:
         assert np.linalg.norm(outs["gwa"] - outs["gwa-newton"]) <= 1e-6
 
     def test_deterministic_bytes(self, qkp_file, tmp_path):
-        inst = pb.lift_qkp(pb.parse_qkp(open(qkp_file).read()))
+        with open(qkp_file) as fh:
+            inst = pb.lift_qkp(pb.parse_qkp(fh.read()))
         pt_file, _ = self.write_point(inst, tmp_path)
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -456,7 +458,8 @@ class TestProject:
 
     def test_dual_stall_exits_two(self, qkp_file, tmp_path, capsys):
         # plain gwa crawls on this lifted instance and hits its iteration cap
-        inst = pb.lift_qkp(pb.parse_qkp(open(qkp_file).read()))
+        with open(qkp_file) as fh:
+            inst = pb.lift_qkp(pb.parse_qkp(fh.read()))
         pt_file, _ = self.write_point(inst, tmp_path)
         out = tmp_path / "p.txt"
         argv = ["project", "--instance", qkp_file, "--method", "gwa",
@@ -469,7 +472,8 @@ class TestProject:
     def test_centred_row_exits_two_on_gwa_newton(self, qkp_file, tmp_path, capsys):
         # binary row 0 at its sphere's center (0.5, 0): the dual Newton step
         # has no weight for it, while plain gwa floors the weight and runs
-        inst = pb.lift_qkp(pb.parse_qkp(open(qkp_file).read()))
+        with open(qkp_file) as fh:
+            inst = pb.lift_qkp(pb.parse_qkp(fh.read()))
         V = pb.feasible_init(inst, inst.meta["r"])
         V[0] = 0.0
         V[0, 0] = 0.5
@@ -486,7 +490,8 @@ class TestProject:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_input_is_usage_error(self, qkp_file, tmp_path, capsys, value):
-        inst = pb.lift_qkp(pb.parse_qkp(open(qkp_file).read()))
+        with open(qkp_file) as fh:
+            inst = pb.lift_qkp(pb.parse_qkp(fh.read()))
         pt_file, V = self.write_point(inst, tmp_path)
         V[1, 1] = float(value)
         np.savetxt(pt_file, V)

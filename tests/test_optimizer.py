@@ -12,6 +12,8 @@ instance with objective mass on the slack rows or a start moved away from
 the saddle by one exact retraction.
 """
 
+import math
+
 import numpy as np
 import pytest
 from test_solvers import feasible_point
@@ -181,8 +183,10 @@ def test_config_validation():
     kind = sv.RetractionKind.APM
     with pytest.raises(ValueError):
         op.OptimizerConfig(kind, grad_tol=0.0)
-    with pytest.raises(ValueError):
-        op.OptimizerConfig(kind, max_outer=0)
+    for bad in (0, 2.5, math.inf, math.nan, "3"):
+        with pytest.raises(ValueError, match="max_outer"):
+            op.OptimizerConfig(kind, max_outer=bad)
+    assert op.OptimizerConfig(kind, max_outer=3.0).max_outer == 3
     with pytest.raises(ValueError):
         op.OptimizerConfig(42)
     with pytest.raises(ValueError):
@@ -229,12 +233,23 @@ def test_solve_qkp_stationary_for_every_kind():
         assert report.outer_iters <= 2000, kind
 
 
-def test_solve_rejects_bad_start():
+def test_solve_rejects_bad_start(monkeypatch):
     inst, R0 = custom_setup()
     with pytest.raises(ValueError, match="shape"):
         op.solve(inst, config(), R0=R0[:-1])
     with pytest.raises(ValueError, match="violates"):
         op.solve(inst, config(), R0=np.ones_like(R0))
+    # a NaN start is refused by the start gate, before any tangent projection
+    calls = []
+    project_tangent = mf.project_tangent
+    monkeypatch.setattr(
+        mf, "project_tangent", lambda *a, **kw: calls.append(a) or project_tangent(*a, **kw)
+    )
+    bad = R0.copy()
+    bad[1, 1] = np.nan
+    with pytest.raises(ValueError, match="start point contains nan or inf"):
+        op.solve(inst, config(), R0=bad)
+    assert calls == []
 
 
 def test_solve_max_outer_reached():
@@ -242,6 +257,11 @@ def test_solve_max_outer_reached():
     report = op.solve(inst, config(grad_tol=1e-15, max_outer=3), R0=R0)
     assert report.outer_iters == 3
     assert len(report.per_iter_log) == 4
+    # the recorded bound is the one the retraction tested its point against
+    last = report.per_iter_log[-1]
+    assert last.retraction_iters >= 1
+    scale = mf.frobenius_norm(report.final_point) + 1.0
+    assert last.residual_bound == last.retraction_tol * scale
 
 
 # ---------------------------------------------------------------------------

@@ -311,8 +311,10 @@ def test_retraction_config_validation():
     sv.RetractionConfig(kind=sv.RetractionKind.APM)
     with pytest.raises(ValueError):
         sv.RetractionConfig(kind=sv.RetractionKind.APM, tol=1e-16)
-    with pytest.raises(ValueError):
-        sv.RetractionConfig(kind=sv.RetractionKind.APM, maxiter=0)
+    for bad in (0, 2.5, math.inf, math.nan, "3"):
+        with pytest.raises(ValueError, match="maxiter"):
+            sv.RetractionConfig(kind=sv.RetractionKind.APM, maxiter=bad)
+    assert sv.RetractionConfig(kind=sv.RetractionKind.APM, maxiter=3.0).maxiter == 3
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +508,13 @@ def test_singular_schur_systems_raise_typed_errors(path):
     M, R = singular_slice_setup()
     with pytest.raises(SingularSchur):
         on_route(path, sv.newton_slra_step, M, R)
+    # R is feasible, so E = 0, and its unit normals give d = 1: the same
+    # singular system, reached through project_slice directly and through APHL
+    C = mf.row_normals(M, R)
+    with pytest.raises(SingularSchur, match="slice system singular"):
+        on_route(path, mf.project_slice, M, R, C, np.ones(M.dims.s), np.zeros(M.dims.s))
+    with pytest.raises(SingularSchur):
+        on_route(path, sv.aphl_step, M, R)
     # dual point with Y = R: binary row 0 of Y is exactly e1 with weight 1
     with pytest.raises(SingularSchur):
         on_route(path, sv.gwa_newton_iterate, M, R, np.zeros(1), np.zeros((1, 2)))
@@ -1014,19 +1023,31 @@ def test_retract_and_tapr_reject_nonfinite_input_before_any_step(monkeypatch, va
     assert done == []
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-def test_metric_project_rejects_nonfinite_input_before_any_step(monkeypatch, value):
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda V: spoiled(V, np.nan), "nan or inf"),
+        (lambda V: spoiled(V, np.inf), "nan or inf"),
+        (lambda V: V[:, 0], "shape"),
+        (lambda V: V[:, :1], "shape"),
+    ],
+    ids=["nan", "inf", "1-d", "one-column"],
+)
+def test_metric_project_rejects_nonfinite_input_before_any_step(monkeypatch, spoil, message):
+    # a misshapen V is refused at the same gate as a non-finite one
     M, x = coupled_setup()
-    V = spoiled(x + 0.1 * unit_tangent(M, x, seed=32), value)
+    V = spoil(x + 0.1 * unit_tangent(M, x, seed=32))
     done = count_completed_steps(monkeypatch)
     for method in ("gwa", "gwa-newton"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             sv.metric_project(M, V, method=method)
     assert done == []
 
 
 @pytest.mark.parametrize(
-    "bad", [{"tol": np.nan}, {"maxiter": 2.5}], ids=["tol-nan", "maxiter-2.5"]
+    "bad",
+    [{"tol": np.nan}, {"maxiter": 2.5}, {"maxiter": np.inf}],
+    ids=["tol-nan", "maxiter-2.5", "maxiter-inf"],
 )
 def test_metric_project_rejects_a_bad_tol_or_maxiter_before_any_step(monkeypatch, bad):
     M, x = coupled_setup()
