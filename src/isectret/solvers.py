@@ -15,6 +15,10 @@ cheap step map from V = x + eta:
    projection, wrapped by metric_project. gwa_iterate solves its weighted
    Gram system by one LAPACK posv call (_pos_solve), bit-identical to
    scipy.linalg.solve(..., assume_a="pos") and with the same checks.
+   metric_project's loop reads each dual iterate's rows once: it forms
+   Y = V' + A^T Theta and its row norms (_gwa_rows), takes the objective
+   value from them and hands them to the next step, so neither is
+   recomputed. Called alone, a step forms them itself, with the same bits.
 
 retract() is the only way into a retraction. It checks (x, eta), forms
 V = x + eta and V's residual, and hands them to one loop, _iterate, which
@@ -172,17 +176,16 @@ def iap_step(M, R, h=None):
 
 def newton_slra_step(M, R):
     """Project R onto M1 intersected with the tangent slice of M2 at
-    Rt = project_binary(R): mf.project_slice with unit d, E = None (R is
-    already on M1) and h_i = <R_i - Rt_i, c_i>. Quadratically convergent
+    Rt = project_binary(R): mf.project_slice with unit d, R's affine gap
+    E = A R - b e1^T and h_i = <R_i - Rt_i, c_i>. R need not lie on M1:
+    the step lands on {A X = b e1^T} either way. Quadratically convergent
     near the intersection."""
     R = np.asarray(R, dtype=float)
-    scale = mf.frobenius_norm(R) + 1.0
-    if mf.frobenius_norm(mf.affine_residual(M, R)) > 1e-8 * scale:
-        raise ValueError("newton_slra_step needs a base point on the affine set")
+    E = mf.affine_residual(M, R)
     Rt = mf.project_binary(M, R)
     C = mf.row_normals(M, Rt)  # unit rows since Rt is on M2
     h = np.einsum("ij,ij->i", M.binary_block(R) - M.binary_block(Rt), C)
-    return mf.project_slice(M, R, C, np.ones(M.dims.s), h)
+    return mf.project_slice(M, R, C, np.ones(M.dims.s), h, E=E)
 
 
 def relaxed_newton_slra_step(M, R):
@@ -226,22 +229,35 @@ def aphl_step(M, R):
 # dual (metric-projection) iterations
 
 
-def _gwa_weights(M, Y):
-    v = np.full(M.dims.N, 2.0)
-    YB = M.binary_block(Y)
-    # np.linalg.norm(YB, axis=1), computed as numpy computes it
-    nb = np.sqrt(np.add.reduce(YB * YB, axis=1))
-    v[M.binary_index] = 1.0 / np.maximum(nb, _GWA_WEIGHT_FLOOR)
+def _gwa_rows(M, Vprime, Theta):
+    """The dual iterate's rows (Y, norms): Y = V' + A^T Theta and its row
+    norms, computed as np.linalg.norm(Y, axis=1) computes them. Each row is
+    reduced on its own, so norms[binary_index] has the bits of the same
+    reduction over the binary block alone."""
+    Y = Vprime + M.affine.A.T @ Theta
+    return Y, np.sqrt(np.add.reduce(Y * Y, axis=1))
+
+
+def _gwa_value(M, gamma, Theta, norms):
+    """The dual objective at Theta from the row norms of its Y."""
+    return float(
+        norms[M.binary_index].sum() + (norms[M.free_index] ** 2).sum() + gamma @ Theta[:, 0]
+    )
+
+
+def _gwa_weights(M, norms):
+    """The GWA weights from the row norms: 1 / max(||Y_i||, floor) on B and
+    2 off B, filled into the one array the reciprocal allocates."""
+    v = 1.0 / np.maximum(norms, _GWA_WEIGHT_FLOOR)
+    v[M.free_index] = 2.0
     return v
 
 
 def gwa_objective(M, Vprime, gamma, Theta) -> float:
-    """Dual objective sum_B ||Y_i|| + sum_notB ||Y_i||^2 + <gamma, Theta e1>."""
-    Y = Vprime + M.affine.A.T @ Theta
-    norms = np.sqrt(np.add.reduce(Y * Y, axis=1))
-    return float(
-        norms[M.binary_index].sum() + (norms[M.free_index] ** 2).sum() + gamma @ Theta[:, 0]
-    )
+    """Dual objective sum_B ||Y_i|| + sum_notB ||Y_i||^2 + <gamma, Theta e1>
+    at Y = V' + A^T Theta. metric_project's loop takes the same value from
+    the rows it already holds (_gwa_rows, then _gwa_value)."""
+    return _gwa_value(M, gamma, Theta, _gwa_rows(M, Vprime, Theta)[1])
 
 
 @functools.lru_cache(maxsize=8)
@@ -260,7 +276,7 @@ def _pos_solve(G, rhs):
     1 x 1 G, divided out directly, is zero), and a LinAlgWarning when
     pocon's reciprocal condition estimate is below eps. The result is
     C-ordered like sla.solve's: posv's Fortran-ordered one takes another
-    BLAS path in later dot products (gwa_objective's gamma @ Theta[:, 0])
+    BLAS path in later dot products (the dual objective's gamma @ Theta[:, 0])
     and can change their last bit."""
     if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
@@ -288,20 +304,22 @@ def _pos_solve(G, rhs):
     return np.ascontiguousarray(x)
 
 
-def gwa_iterate(M, Vprime, gamma, Theta):
+def gwa_iterate(M, Vprime, gamma, Theta, rows=None):
     """One weighted-least-squares (Weiszfeld) update of the dual variable:
     Theta = -(A Diag(v) A^T)^{-1} (A Diag(v) V' + gamma e1^T), v the GWA
-    weights at Y = V' + A^T Theta, solved by _pos_solve."""
+    weights at Y = V' + A^T Theta, solved by _pos_solve. rows is Theta's
+    (Y, norms) from _gwa_rows when the caller holds them; the weights are
+    then built from those norms, with the same bits."""
     A = M.affine.A
-    Y = Vprime + A.T @ Theta
-    v = _gwa_weights(M, Y)
+    _, norms = _gwa_rows(M, Vprime, Theta) if rows is None else rows
+    v = _gwa_weights(M, norms)
     Gv = A @ (v[:, None] * A.T)
     rhs = A @ (v[:, None] * Vprime)
     rhs[:, 0] += gamma
     return -_pos_solve(Gv, rhs)
 
 
-def gwa_newton_iterate(M, Vprime, gamma, Theta):
+def gwa_newton_iterate(M, Vprime, gamma, Theta, rows=None):
     """Newton update for the dual objective. The Hessian is the weighted
     Gram M0 = A Diag(v) A^T (times I_r) minus a rank-s correction along the
     normalized binary rows Yhat. Woodbury reduces the Newton system to an
@@ -309,16 +327,18 @@ def gwa_newton_iterate(M, Vprime, gamma, Theta):
     I - (C C^T) o (U U^T) with C = sqrt(v_B) Yhat and U = (L0^{-1} A_B)^T,
     L0 the Cholesky factor of M0, solved by mf.schur_solve. A binary row of
     Y = V' + A^T Theta that vanishes (row i of V + A^T Theta at its sphere's
-    center) has no weight and raises DegenerateRow."""
+    center) has no weight and raises DegenerateRow. rows is Theta's
+    (Y, norms) from _gwa_rows when the caller holds them; the step then
+    reads Y_B and its norms from them, with the same bits."""
     A = M.affine.A
     B = M.binary_index
-    Y = Vprime + A.T @ Theta
+    Y, norms = _gwa_rows(M, Vprime, Theta) if rows is None else rows
     YB = M.binary_block(Y)
-    nb = np.linalg.norm(YB, axis=1)
+    nb = norms[B]
     if np.min(nb) < _GWA_WEIGHT_FLOOR:
         raise DegenerateRow(int(M.binary_rows[np.flatnonzero(nb < _GWA_WEIGHT_FLOOR)[0]]))
-    v = np.full(M.dims.N, 2.0)
-    v[B] = 1.0 / nb
+    # no binary norm is below the floor, so v_B = 1 / nb exactly
+    v = _gwa_weights(M, norms)
     grad = A @ (v[:, None] * Y)
     grad[:, 0] += gamma
     M0 = A @ (v[:, None] * A.T)
@@ -344,9 +364,12 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
 
     Runs the chosen dual iteration from Theta = 0 until the update is small
     and the dual objective did not increase, then recovers the primal point
-    as project_binary(V + A^T Theta*). Raises MaxIterExceeded if the dual
-    loop does not settle, or if the recovered point misses the bound
-    tol * (||P|| + 1) and is also less feasible than V (a stalled dual step).
+    as project_binary(V + A^T Theta*). Each iterate's rows Y = V' + A^T Theta
+    and their norms are computed once: its objective value and the step
+    taken from it both read them. Raises MaxIterExceeded if the dual loop
+    does not settle (its message gives the last update and the bound it
+    missed), or if the recovered point misses the bound tol * (||P|| + 1)
+    and is also less feasible than V (a stalled dual step).
     """
     if method not in ("gwa", "gwa-newton"):
         raise ValueError("method must be 'gwa' or 'gwa-newton'")
@@ -360,14 +383,16 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
     gamma = A @ np.ones(M.dims.N) - 2.0 * M.affine.b_col
     step = gwa_iterate if method == "gwa" else gwa_newton_iterate
     Theta = np.zeros((M.dims.m_rows, M.dims.r))
-    g_cur = gwa_objective(M, Vp, gamma, Theta)
+    rows = _gwa_rows(M, Vp, Theta)
+    g_cur = _gwa_value(M, gamma, Theta, rows[1])
     for _ in range(maxiter):
-        nxt = step(M, Vp, gamma, Theta)
-        g_nxt = gwa_objective(M, Vp, gamma, nxt)
+        # Theta_{k+1}'s rows serve both its objective value and the next step
+        nxt = step(M, Vp, gamma, Theta, rows)
+        rows = _gwa_rows(M, Vp, nxt)
+        g_nxt = _gwa_value(M, gamma, nxt, rows[1])
         change = mf.frobenius_norm(nxt - Theta)
-        done = change <= tol * (mf.frobenius_norm(Theta) + 1.0) and g_nxt <= g_cur + 1e-12 * (
-            abs(g_cur) + 1.0
-        )
+        bound = tol * (mf.frobenius_norm(Theta) + 1.0)
+        done = change <= bound and g_nxt <= g_cur + 1e-12 * (abs(g_cur) + 1.0)
         Theta, g_cur = nxt, g_nxt
         if done:
             P = mf.project_binary(M, V + A.T @ Theta)
@@ -378,7 +403,10 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
                     "exceeds both its bound and the input's residual"
                 )
             return P
-    raise MaxIterExceeded(f"dual iteration ({method}) did not settle in {maxiter} steps")
+    raise MaxIterExceeded(
+        f"dual iteration ({method}) did not settle in {maxiter} steps: "
+        f"last update {change:.3e} against its bound {bound:.3e}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ agreement validates the Schur-complement and Woodbury paths.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from isectret import solvers as sv
 from isectret.errors import (
     DegenerateRow,
     InitialResidualTooLarge,
+    IsectError,
     MaxIterExceeded,
     SingularGram,
     SingularSchur,
@@ -92,6 +94,21 @@ def qkp50_probe_pair():
     x = sv.retract(M, base, 0.5 * xi, polish).point
     g = mf.project_tangent(M, x, op.gradient(prob, x)).xi
     return M, x, g / np.linalg.norm(g)
+
+
+def tangent_pair(prob, rng):
+    """(M, x, eta) on a lift: x is feasible_init retracted along 0.5 times a
+    unit tangent, eta a unit tangent at x, both drawn from rng."""
+    M = prob.manifold
+
+    def unit(R):
+        xi = mf.project_tangent(M, R, rng.standard_normal(R.shape)).xi
+        return xi / np.linalg.norm(xi)
+
+    base = pb.feasible_init(prob, M.dims.r)
+    polish = sv.RetractionConfig(kind=sv.RetractionKind.NewtonSLRA, tol=1e-12)
+    x = sv.retract(M, base, 0.5 * unit(base), polish).point
+    return M, x, unit(x)
 
 
 def coupled_setup(seed=15, N=9, s=4, m=2, r=2):
@@ -496,11 +513,34 @@ def test_newton_slra_output_slices():
     assert np.max(np.abs(slice_res)) < 1e-9 * scale
 
 
-def test_newton_slra_step_rejects_a_point_off_the_affine_set():
-    M = general_manifold(3)
-    R = point_on_m1(M, 3) + M.affine.A.T @ np.ones((M.dims.m_rows, M.dims.r))
-    with pytest.raises(ValueError, match="needs a base point on the affine set"):
-        sv.newton_slra_step(M, R)
+@pytest.mark.parametrize("seed", [3, 5, 7])
+def test_newton_slra_step_off_the_affine_set_matches_the_kkt_oracle(seed):
+    # the step is the projection onto {A X = b e1^T} cap slice wherever R is
+    M = general_manifold(seed)
+    R = point_on_m1(M, seed) + M.affine.A.T @ np.ones((M.dims.m_rows, M.dims.r))
+    assert np.linalg.norm(mf.affine_residual(M, R)) > 0.1
+    want = newton_kkt_oracle(M, R)
+    got = sv.newton_slra_step(M, R)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_retract_newton_slra_from_a_base_off_the_affine_set():
+    # a base that check_base accepts at half its allowance, moved off M1
+    # along K Z: the first Newton step must not refuse it
+    M, x, eta = tangent_pair(pb.lift_qkp(pb.gen_qkp(12, 0.5, 6)), np.random.default_rng(0))
+    move = M.affine.K @ np.random.default_rng(1).standard_normal((M.dims.m_rows, M.dims.r))
+    allow = mf.FEASIBILITY_TOL * (np.linalg.norm(x) + 1.0)
+    x = x + 0.5 * allow / mf.combined_residual(M, x + move) * move
+    allow = mf.FEASIBILITY_TOL * (np.linalg.norm(x) + 1.0)
+    assert 0.4 * allow < mf.combined_residual(M, x) < 0.6 * allow
+    eta = mf.project_tangent(M, x, eta).xi
+    eta /= np.linalg.norm(eta)
+    cfg = sv.RetractionConfig(kind=sv.RetractionKind.NewtonSLRA, tol=1e-10, maxiter=200)
+    out = sv.retract(M, x, 0.05 * eta, cfg)
+    assert out.converged
+    assert set(out.trace.phases[1:]) == {"newton-slra"}
+    assert len(out.trace) - 1 <= 6
+    assert out.trace.combined[-1] <= 1e-10 * (np.linalg.norm(out.point) + 1.0)
 
 
 @pytest.mark.parametrize("path", ["direct", "smw"])
@@ -759,8 +799,9 @@ def test_gwa_newton_reports_a_vanished_binary_row_as_degenerate():
         sv.metric_project(M, V, method="gwa-newton")
 
 
-def _criterion6_dual_cases():
-    """The 50 instances of acceptance criterion 6, drawn in the same order."""
+def _criterion6_points():
+    """The 50 instances of acceptance criterion 6, drawn in the same order:
+    (label, M, V, Theta), Theta a start for the dual step."""
     for seed in range(50):
         rng = np.random.default_rng(seed + 500)
         N = int(rng.integers(6, 40))
@@ -772,9 +813,14 @@ def _criterion6_dual_cases():
         rows = np.sort(rng.choice(N, size=s, replace=False))
         M = mf.IntersectionManifold(A, b, binary_rows=rows, r=r)
         V = rng.standard_normal((N, r))
-        Vp, gamma = _dual_data(M, V)
         Theta = 0.1 * rng.standard_normal((m, r))
-        yield f"criterion 6 seed {seed}", M, Vp, gamma, Theta
+        yield f"criterion 6 seed {seed}", M, V, Theta
+
+
+def _criterion6_dual_cases():
+    """Criterion 6's instances as dual data (label, M, V', gamma, Theta)."""
+    for label, M, V, Theta in _criterion6_points():
+        yield label, M, *_dual_data(M, V), Theta
 
 
 def gwa_iterate_oracle(M, Vprime, gamma, Theta):
@@ -800,9 +846,9 @@ def gwa_objective_oracle(M, Vprime, gamma, Theta):
     return float(norms[mask].sum() + (norms[~mask] ** 2).sum() + gamma @ Theta[:, 0])
 
 
-def _lift_dual_cases():
-    """Both lifts (QKP n=10, QAP p=8) at a point 0.3 along a unit tangent
-    plus noise, the dual variable starting at 0 as in metric_project."""
+def _lift_points():
+    """The lifts QKP n=10, a seeded QAP p=8 and QKP n=100 at a point 0.3
+    along a unit tangent plus noise: (label, M, V)."""
     rng = np.random.default_rng(91)
     W = np.triu(rng.integers(0, 10, size=(8, 8)), 1)
     D = np.triu(rng.integers(1, 10, size=(8, 8)), 1)
@@ -812,6 +858,17 @@ def _lift_dual_cases():
         M = prob.manifold
         x = pb.feasible_init(prob, M.dims.r)
         V = x + 0.3 * unit_tangent(M, x, seed=5) + 1e-3 * rng.standard_normal(x.shape)
+        yield label, M, V
+    # gen-qkp n=100 seed 42 as in the metric-project benchmark: plain gwa
+    # does not settle there in its 500 steps
+    M, x, eta = tangent_pair(pb.lift_qkp(pb.gen_qkp(100, 0.5, 42)), rng)
+    yield "qkp100 lift", M, x + 0.3 * eta + 1e-3 * rng.standard_normal(x.shape)
+
+
+def _lift_dual_cases():
+    """The lift points as dual data, the dual variable starting at 0 as in
+    metric_project."""
+    for label, M, V in _lift_points():
         yield label, M, *_dual_data(M, V), np.zeros((M.dims.m_rows, M.dims.r))
 
 
@@ -826,9 +883,88 @@ def test_gwa_dual_step_and_objective_match_the_scipy_oracle_bytes():
             got = sv.gwa_iterate(M, Vp, gamma, Theta)
             assert got.flags.c_contiguous, f"{label}, step {step}"
             assert got.tobytes() == want.tobytes(), f"{label}, step {step}"
+            # the same step from the rows metric_project's loop holds
+            held = sv.gwa_iterate(M, Vp, gamma, Theta, sv._gwa_rows(M, Vp, Theta))
+            assert held.tobytes() == want.tobytes(), f"{label}, step {step}, held rows"
             Theta = got
             g = sv.gwa_objective(M, Vp, gamma, Theta)
             assert g == gwa_objective_oracle(M, Vp, gamma, Theta), f"{label}, step {step}"
+
+
+def metric_project_loop_oracle(M, V, method, tol=1e-9, maxiter=500):
+    """metric_project's dual loop with every step through the public maps
+    and nothing held between them: step(M, V', gamma, Theta), then
+    gwa_objective at the new iterate, so Y and its row norms are formed
+    twice per step. Same stop test, recovery and error messages."""
+    A = M.affine.A
+    Vp, gamma = _dual_data(M, V)
+    step = sv.gwa_iterate if method == "gwa" else sv.gwa_newton_iterate
+    Theta = np.zeros((M.dims.m_rows, M.dims.r))
+    g_cur = sv.gwa_objective(M, Vp, gamma, Theta)
+    for _ in range(maxiter):
+        nxt = step(M, Vp, gamma, Theta)
+        g_nxt = sv.gwa_objective(M, Vp, gamma, nxt)
+        change = mf.frobenius_norm(nxt - Theta)
+        bound = tol * (mf.frobenius_norm(Theta) + 1.0)
+        done = change <= bound and g_nxt <= g_cur + 1e-12 * (abs(g_cur) + 1.0)
+        Theta, g_cur = nxt, g_nxt
+        if done:
+            P = mf.project_binary(M, V + A.T @ Theta)
+            res = mf.combined_residual(M, P)
+            if res > tol * (mf.frobenius_norm(P) + 1.0) and res > mf.combined_residual(M, V):
+                raise MaxIterExceeded(
+                    f"dual iteration ({method}) stalled: recovered residual {res:.3e} "
+                    "exceeds both its bound and the input's residual"
+                )
+            return P
+    raise MaxIterExceeded(
+        f"dual iteration ({method}) did not settle in {maxiter} steps: "
+        f"last update {change:.3e} against its bound {bound:.3e}"
+    )
+
+
+def _projection_outcome(project, *args, **kwargs):
+    """("ok", point bytes) or (error class, message)."""
+    try:
+        return "ok", project(*args, **kwargs).tobytes()
+    except IsectError as err:
+        return type(err), str(err)
+
+
+def _dual_loop_inputs():
+    """(label, M, V, maxiter): criterion 6's instances, the decoupled
+    instance, the lifts (the QKP n=100 point exhausts gwa's 500 steps) and
+    a V with binary row 2 at its sphere's centre, where gwa-newton raises
+    DegenerateRow. Criterion 6's random V get 60 steps, which most of them
+    use up, so both outcomes are compared."""
+    for label, M, V, _ in _criterion6_points():
+        yield label, M, V, 60
+    M = decoupled_manifold(seed=11)
+    x = feasible_point(M, seed=11)
+    yield "decoupled", M, x + 0.05 * unit_tangent(M, x, seed=11), 500
+    for label, M, V in _lift_points():
+        yield label, M, V, 500
+    M = decoupled_manifold(seed=13)
+    V = feasible_point(M, seed=13)
+    V[2] = 0.0
+    V[2, 0] = 0.5
+    yield "centred row", M, V, 500
+
+
+@pytest.mark.parametrize("method", ["gwa", "gwa-newton"])
+def test_metric_project_loop_matches_the_unshared_loop_bytes(method):
+    outcomes = []
+    for label, M, V, maxiter in _dual_loop_inputs():
+        want = _projection_outcome(metric_project_loop_oracle, M, V, method, maxiter=maxiter)
+        got = _projection_outcome(sv.metric_project, M, V, method=method, maxiter=maxiter)
+        assert got == want, label
+        outcomes.append((label, want[0]))
+    kinds = {kind for _, kind in outcomes}
+    assert "ok" in kinds and MaxIterExceeded in kinds
+    if method == "gwa":
+        assert ("qkp100 lift", MaxIterExceeded) in outcomes
+    else:
+        assert ("centred row", DegenerateRow) in outcomes
 
 
 def _solve_outcome(solve, G, rhs):
@@ -897,6 +1033,10 @@ def test_gwa_newton_direct_smw_agree():
         want = gwa_newton_kron_oracle(M, Vp, gamma, Theta)
         d = on_route("direct", sv.gwa_newton_iterate, M, Vp, gamma, Theta)
         w = on_route("smw", sv.gwa_newton_iterate, M, Vp, gamma, Theta)
+        rows = sv._gwa_rows(M, Vp, Theta)
+        for route, got in (("direct", d), ("smw", w)):
+            held = on_route(route, sv.gwa_newton_iterate, M, Vp, gamma, Theta, rows)
+            assert held.tobytes() == got.tobytes(), f"{label}, {route}, held rows"
         assert np.linalg.norm(d - w) < 1e-9 * (np.linalg.norm(d) + 1.0), label
         for path, got in (("direct", d), ("smw", w)):
             rel = np.linalg.norm(got - want) / (np.linalg.norm(want) + 1.0)
@@ -977,6 +1117,29 @@ def test_metric_project_maxiter():
     V = x + 0.3 * np.ones_like(x)
     with pytest.raises(MaxIterExceeded):
         sv.metric_project(M, V, method="gwa", tol=1e-15, maxiter=1)
+
+
+@pytest.mark.parametrize("maxiter", [1, 5])
+def test_metric_project_budget_error_gives_the_last_update_and_its_bound(maxiter):
+    M, x = coupled_setup()
+    V = x + 0.3 * unit_tangent(M, x, seed=33)
+    Vp, gamma = _dual_data(M, V)
+    Theta = np.zeros((M.dims.m_rows, M.dims.r))
+    for _ in range(maxiter):
+        prev, Theta = Theta, sv.gwa_iterate(M, Vp, gamma, Theta)
+    change = np.linalg.norm(Theta - prev)
+    bound = 1e-15 * (np.linalg.norm(prev) + 1.0)
+    with pytest.raises(MaxIterExceeded) as err:
+        sv.metric_project(M, V, method="gwa", tol=1e-15, maxiter=maxiter)
+    read = re.fullmatch(
+        rf"dual iteration \(gwa\) did not settle in {maxiter} steps: "
+        r"last update (\S+) against its bound (\S+)",
+        str(err.value),
+    )
+    assert read is not None, str(err.value)
+    assert float(read[1]) == pytest.approx(change, rel=1e-3)
+    assert float(read[2]) == pytest.approx(bound, rel=1e-3)
+    assert float(read[1]) > float(read[2])
 
 
 # ---------------------------------------------------------------------------
