@@ -300,13 +300,13 @@ def _cmd_project(args) -> int:
     inst = _load_instance(args.instance)
     M = inst.manifold
     try:
-        V = np.loadtxt(args.input_point)
+        V = np.loadtxt(args.input_point, ndmin=2)
     except OSError as err:
         raise UsageError(str(err))
     except ValueError as err:
         raise UsageError(f"cannot parse {args.input_point}: {err}")
     try:
-        V = mf.check_point(M, np.atleast_2d(V), f"input point in {args.input_point}")
+        V = mf.check_point(M, V, f"input point in {args.input_point}")
     except ValueError as err:
         raise UsageError(str(err))
     P = sv.metric_project(M, V, method=args.method)

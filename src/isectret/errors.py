@@ -30,7 +30,9 @@ class IsectError(Exception):
 
 
 class SingularGram(IsectError):
-    """A A^T is numerically singular (rank-deficient constraint rows)."""
+    """A A^T is numerically singular (rank-deficient constraint rows), or
+    the weighted Gram A Diag(v) A^T of a GWA or GWA-Newton dual step is not
+    positive definite."""
 
 
 class DegenerateRow(IsectError):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, get_lapack_funcs, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, solve_triangular
 
 from .errors import (
     DegenerateRow,
@@ -84,18 +84,18 @@ class ProblemDims:
 class AffineSystem:
     """The affine factor A R = b e1^T with its cached Gram factorization.
 
-    gram_solve applies (A A^T)^{-1} by one LAPACK potrs call on the cached
-    Cholesky factor (scipy's cho_solve makes the same call behind its input
-    checks); the slice projection and the relaxed NewtonSLRA step use it.
     K = A^T (A A^T)^{-1}, the N x m matrix of the affine projection
-    R - K (A R - b e1^T), is built once from the same factor, so a
-    projection is two small products and no solve. A_B is the fancy-indexed
-    copy A[:, binary_cols], kept for the slice and dual solvers;
-    low_rank_factor is U with A_B^T (A A^T)^{-1} A_B = U U^T, reused by the
-    Schur-complement solvers, and low_rank_gram is U U^T itself, built on
-    first use. K, A_B and low_rank_gram are read-only.
+    R - K (A R - b e1^T), is built once from the cached Cholesky factor of
+    A A^T by gram_solve, which applies (A A^T)^{-1} by scipy's cho_solve.
+    K is the one elimination of the affine rows the kernels use per step:
+    a projection, a slice solve or a relaxed NewtonSLRA step is a product
+    with K and no solve. A_B is the fancy-indexed copy A[:, binary_cols],
+    kept for the slice and dual solvers; low_rank_factor is U with
+    A_B^T (A A^T)^{-1} A_B = U U^T, reused by the Schur-complement solvers,
+    and low_rank_gram is U U^T itself, built on first use. K, A_B and
+    low_rank_gram are read-only.
 
-    Neither gram_solve nor the kernels built on it check their input for
+    Neither gram_solve nor the kernels built on K check their input for
     NaN or inf: a non-finite input gives a non-finite output. The entry
     points (retract, project_tangent, metric_project, solve and the CLI's
     project) check each point once, through check_point.
@@ -115,7 +115,6 @@ class AffineSystem:
                 f"A A^T has eigenvalue ratio {w[0]:.3e}/{w[-1]:.3e}; affine rows are rank deficient"
             )
         self._factor, _ = cho_factor(G, lower=True)
-        (self._potrs,) = get_lapack_funcs(("potrs",), (self._factor,))
         self.K = np.ascontiguousarray(self.gram_solve(A).T)
         self.K.setflags(write=False)
         # a copy, not a view: BLAS takes the same path on it as on A[:, B]
@@ -136,10 +135,7 @@ class AffineSystem:
         return G
 
     def gram_solve(self, Y: np.ndarray) -> np.ndarray:
-        X, info = self._potrs(self._factor, Y, lower=True, overwrite_b=False)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of potrs")
-        return X
+        return cho_solve((self._factor, True), Y, check_finite=False)
 
 
 def _row_index(rows: np.ndarray):
@@ -477,41 +473,36 @@ def project_slice(
     C: np.ndarray,
     d: np.ndarray,
     h: np.ndarray,
-    E: np.ndarray | None = None,
+    E: np.ndarray,
 ) -> np.ndarray:
     """Least-norm move of v onto the slice {X : A X = A v - E,
     <c_i, X_i> = <c_i, v_i> - h_i for i in B}, C holding the rows c_i.
 
     Returns v - A^T Lam - T_B*(mu), where T_B*(mu) has rows mu_i c_i on B and
-    zeros elsewhere. Eliminating Lam = (A A^T)^{-1} (E - A_B (mu o C))
-    through the cached Gram factor leaves the s x s Schur system
-    (Diag(d) - (C C^T) o (U U^T)) mu = h - <c_i, (A_B^T (A A^T)^{-1} E)_i>,
-    solved by schur_solve, whose route (direct or Woodbury) follows from the
-    sizes s, m and r alone. d is the diagonal of C C^T (ones when the rows
-    are unit normals of points on M2). E = None stands for E = 0 and skips
-    its Gram solve.
+    zeros elsewhere. Lam = (A A^T)^{-1} (E - A_B (mu o C)) is eliminated
+    through the cached K = A^T (A A^T)^{-1}, so A^T Lam = K E - K A_B (mu o C)
+    with no Gram solve, and the s x s Schur system left is
+    (Diag(d) - (C C^T) o (U U^T)) mu = h - <c_i, (K E)_i> over the binary
+    rows, solved by schur_solve, whose route (direct or Woodbury) follows
+    from the sizes s, m and r alone. d is the diagonal of C C^T (ones when
+    the rows are unit normals of points on M2).
 
     The tangent projector, the NewtonSLRA step and the APHL step are all this
     one projection. A Schur system that is not positive definite raises
     SingularSchur: this is the one place that turns schur_solve's
     numpy.linalg.LinAlgError into a typed error for the slice solves.
     """
-    A = M.affine.A
-    B = M.binary_index
-    AB = M.affine.A_B
-    rhs = h
-    if E is not None:
-        rhs = h - np.einsum("ij,ij->i", AB.T @ M.affine.gram_solve(E), C)
-    U = M.affine.low_rank_factor
+    K = M.affine.K
+    KE = K @ E
+    rhs = h - np.einsum("ij,ij->i", M.binary_block(KE), C)
     try:
-        mu = schur_solve(d, C, U, rhs, gram=lambda: M.affine.low_rank_gram)
+        mu = schur_solve(d, C, M.affine.low_rank_factor, rhs, gram=lambda: M.affine.low_rank_gram)
     except np.linalg.LinAlgError as exc:
         raise SingularSchur(f"slice system singular: {exc}") from exc
     muC = mu[:, None] * C
-    Y = AB @ muC
-    Lam = -M.affine.gram_solve(Y) if E is None else M.affine.gram_solve(E - Y)
-    out = v - A.T @ Lam
-    out[B] -= muC
+    out = v - KE
+    out += K @ (M.affine.A_B @ muC)
+    out[M.binary_index] -= muC
     return out
 
 
@@ -543,8 +534,9 @@ def project_tangent(
     """Orthogonal projection of v onto {xi : A xi = 0, <c_i, xi_i> = 0 for i in B}.
 
     This is project_slice with E = A v, h_i = <c_i, v_i> and
-    d_i = ||c_i||^2: the KKT multipliers are eliminated through the cached
-    Gram factor and the s x s Schur complement is solved by schur_solve.
+    d_i = ||c_i||^2: the KKT multipliers of the affine rows are eliminated
+    through the cached Gram factor, as K = A^T (A A^T)^{-1}, and the s x s
+    Schur complement is solved by schur_solve.
 
     R and v pass check_point, and R must pass check_base unless base_res,
     R's combined residual when the caller holds it, is given; then the

@@ -12,9 +12,12 @@ cheap step map from V = x + eta:
  - aphl_step: dissolve the affine block into a correction along the sphere
    tangents (iterates live on M2),
  - gwa_iterate / gwa_newton_iterate: dual ascent for the exact metric
-   projection, wrapped by metric_project. gwa_iterate solves its weighted
-   Gram system by one LAPACK posv call (_pos_solve), bit-identical to
-   scipy.linalg.solve(..., assume_a="pos") and with the same checks.
+   projection, wrapped by metric_project. Each step factors its weighted
+   Gram A Diag(v) A^T once, by one LAPACK posv call (_pos_solve),
+   bit-identical to scipy.linalg.solve(..., assume_a="pos") and with the
+   same checks. gwa_iterate returns the Weiszfeld point it solves for;
+   gwa_newton_iterate corrects that point by its s x s Schur solve,
+   reusing the same Cholesky factor.
    metric_project's loop reads each dual iterate's rows once: it forms
    Y = V' + A^T Theta and its row norms (_gwa_rows), takes the objective
    value from them and hands them to the next step, so neither is
@@ -190,7 +193,11 @@ def newton_slra_step(M, R):
 
 def relaxed_newton_slra_step(M, R):
     """NewtonSLRA with the s slice constraints aggregated into the single
-    constraint <D, X - Rt> = 0, D = R - Rt; its Schur system is 1x1."""
+    constraint <D, X - Rt> = 0, D = R - Rt; its Schur system is 1x1. The
+    affine rows are eliminated through the cached K = A^T (A A^T)^{-1}:
+    with P = project_affine(M, R) and Dp = D - K (A D), the part of D in
+    the affine null space, the step is P - mu Dp with
+    mu = <D, P - Rt> / <D, Dp>."""
     R = np.asarray(R, dtype=float)
     Rt = mf.project_binary(M, R)
     D = R - Rt
@@ -199,17 +206,14 @@ def relaxed_newton_slra_step(M, R):
         raise VanishingDirection(
             f"displacement norm {nD:.3e} below 1e-14; point already on M2"
         )
-    A = M.affine.A
-    E = mf.affine_residual(M, R)
-    AD = A @ D
-    q = float(np.vdot(AD, M.affine.gram_solve(AD)))
+    P = mf.project_affine(M, R)
+    Dp = D - M.affine.K @ (M.affine.A @ D)
     d2 = float(np.vdot(D, D))
-    denom = d2 - q
+    denom = float(np.vdot(D, Dp))
     if abs(denom) < 1e-14 * d2:
         raise SingularSchur("relaxed direction lies in the affine row space")
-    mu = (d2 - float(np.vdot(AD, M.affine.gram_solve(E)))) / denom
-    Lam = M.affine.gram_solve(E - mu * AD)
-    return R - A.T @ Lam - mu * D
+    mu = float(np.vdot(D, P - Rt)) / denom
+    return P - mu * Dp
 
 
 def aphl_step(M, R):
@@ -269,21 +273,23 @@ def _upper_mask(m):
 
 
 def _pos_solve(G, rhs):
-    """G^{-1} rhs for a symmetric positive definite G read from its upper
-    triangle, by the one LAPACK posv call sla.solve(G, rhs, assume_a="pos")
-    makes, so with the same bits, and with its checks: ValueError on NaN or
-    inf, SingularGram where the Cholesky factorization breaks down (or a
-    1 x 1 G, divided out directly, is zero), and a LinAlgWarning when
-    pocon's reciprocal condition estimate is below eps. The result is
-    C-ordered like sla.solve's: posv's Fortran-ordered one takes another
-    BLAS path in later dot products (the dual objective's gamma @ Theta[:, 0])
-    and can change their last bit."""
+    """(G^{-1} rhs, c) for a symmetric positive definite G read from its
+    upper triangle, c the upper Cholesky factor (G = triu(c)^T triu(c); c's
+    strict lower triangle is not part of it). G^{-1} rhs comes from the one
+    LAPACK posv call sla.solve(G, rhs, assume_a="pos") makes, so with the
+    same bits, and with its checks: ValueError on NaN or inf, SingularGram
+    where the Cholesky factorization breaks down (or a 1 x 1 G, divided out
+    directly with c = sqrt(G), is zero), and a LinAlgWarning when pocon's
+    reciprocal condition estimate is below eps. The solution is C-ordered
+    like sla.solve's: posv's Fortran-ordered one takes another BLAS path in
+    later dot products (the dual objective's gamma @ Theta[:, 0]) and can
+    change their last bit."""
     if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
     if G.size == 1:
         if G.item() == 0:
             raise SingularGram("weighted Gram singular in dual update: 1 x 1 Gram is zero")
-        return rhs / G
+        return rhs / G, np.sqrt(G)
     # pocon needs the 1-norm of the symmetric matrix that G's upper triangle
     # stands for (what LAPACK's lansy computes; scipy does not export it)
     anorm = _LANGE("1", np.where(_upper_mask(G.shape[0]), G, G.T))
@@ -299,9 +305,23 @@ def _pos_solve(G, rhs):
         warnings.warn(
             f"ill-conditioned weighted Gram in dual update: rcond = {rcond}",
             sla.LinAlgWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-    return np.ascontiguousarray(x)
+    return np.ascontiguousarray(x), c
+
+
+def _gwa_weiszfeld(M, Vprime, gamma, norms):
+    """(Theta_w, c): the Weiszfeld point
+    Theta_w = -(A Diag(v) A^T)^{-1} (A Diag(v) V' + gamma e1^T), v the GWA
+    weights from the row norms, and c the upper Cholesky factor of the
+    weighted Gram A Diag(v) A^T, both from one _pos_solve."""
+    A = M.affine.A
+    v = _gwa_weights(M, norms)
+    Gv = A @ (v[:, None] * A.T)
+    rhs = A @ (v[:, None] * Vprime)
+    rhs[:, 0] += gamma
+    x, c = _pos_solve(Gv, rhs)
+    return -x, c
 
 
 def gwa_iterate(M, Vprime, gamma, Theta, rows=None):
@@ -310,53 +330,40 @@ def gwa_iterate(M, Vprime, gamma, Theta, rows=None):
     weights at Y = V' + A^T Theta, solved by _pos_solve. rows is Theta's
     (Y, norms) from _gwa_rows when the caller holds them; the weights are
     then built from those norms, with the same bits."""
-    A = M.affine.A
     _, norms = _gwa_rows(M, Vprime, Theta) if rows is None else rows
-    v = _gwa_weights(M, norms)
-    Gv = A @ (v[:, None] * A.T)
-    rhs = A @ (v[:, None] * Vprime)
-    rhs[:, 0] += gamma
-    return -_pos_solve(Gv, rhs)
+    return _gwa_weiszfeld(M, Vprime, gamma, norms)[0]
 
 
 def gwa_newton_iterate(M, Vprime, gamma, Theta, rows=None):
     """Newton update for the dual objective. The Hessian is the weighted
     Gram M0 = A Diag(v) A^T (times I_r) minus a rank-s correction along the
-    normalized binary rows Yhat. Woodbury reduces the Newton system to an
-    s x s one, which scaling by sqrt(v_B) makes symmetric:
-    I - (C C^T) o (U U^T) with C = sqrt(v_B) Yhat and U = (L0^{-1} A_B)^T,
-    L0 the Cholesky factor of M0, solved by mf.schur_solve. A binary row of
-    Y = V' + A^T Theta that vanishes (row i of V + A^T Theta at its sphere's
-    center) has no weight and raises DegenerateRow. rows is Theta's
-    (Y, norms) from _gwa_rows when the caller holds them; the step then
-    reads Y_B and its norms from them, with the same bits."""
-    A = M.affine.A
-    B = M.binary_index
+    normalized binary rows Yhat, and the step lands at
+    Theta_w - M0^{-1} A_B (gam o C), Theta_w the Weiszfeld point of
+    gwa_iterate. M0 is factored once, by the _pos_solve that gives Theta_w
+    (M0 = c^T c), so a breakdown raises SingularGram with _pos_solve's
+    checks. Woodbury reduces the Newton system to an s x s one, which
+    scaling by sqrt(v_B) makes symmetric: I - (C C^T) o (U0 U0^T) with
+    C = sqrt(v_B) Yhat and U0 = (c^{-T} A_B)^T, solved by mf.schur_solve for
+    gam with right-hand side <(A_B^T (Theta - Theta_w))_i, C_i>. A binary row
+    of Y = V' + A^T Theta that vanishes (row i of V + A^T Theta at its
+    sphere's center) has no weight and raises DegenerateRow. rows is
+    Theta's (Y, norms) from _gwa_rows when the caller holds them; the step
+    then reads Y_B and its norms from them, with the same bits."""
     Y, norms = _gwa_rows(M, Vprime, Theta) if rows is None else rows
-    YB = M.binary_block(Y)
-    nb = norms[B]
+    nb = norms[M.binary_index]
     if np.min(nb) < _GWA_WEIGHT_FLOOR:
         raise DegenerateRow(int(M.binary_rows[np.flatnonzero(nb < _GWA_WEIGHT_FLOOR)[0]]))
+    Theta_w, c = _gwa_weiszfeld(M, Vprime, gamma, norms)
+    AB = M.affine.A_B
     # no binary norm is below the floor, so v_B = 1 / nb exactly
-    v = _gwa_weights(M, norms)
-    grad = A @ (v[:, None] * Y)
-    grad[:, 0] += gamma
-    M0 = A @ (v[:, None] * A.T)
-    try:
-        L0 = np.linalg.cholesky(M0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSchur(f"weighted Gram not positive definite: {exc}") from exc
-    U0 = sla.solve_triangular(L0, M.affine.A_B, lower=True).T
-    G0 = sla.solve_triangular(L0, grad, lower=True)
-    C = np.sqrt(v[B])[:, None] * (YB / nb[:, None])  # sqrt(v_B) Yhat
-    rhs = np.einsum("ij,ij->i", U0 @ G0, C)  # sqrt(v_B) beta0
+    C = np.sqrt(1.0 / nb)[:, None] * (M.binary_block(Y) / nb[:, None])  # sqrt(v_B) Yhat
+    U0 = sla.solve_triangular(c, AB, trans="T").T
+    rhs = np.einsum("ij,ij->i", AB.T @ (Theta - Theta_w), C)
     try:
         gam = mf.schur_solve(np.ones(M.dims.s), C, U0, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSchur(f"newton schur system singular: {exc}") from exc
-    # delta = M0^{-1} (grad + A_B Diag(gam) C), applied through L0
-    delta = sla.solve_triangular(L0, G0 + U0.T @ (gam[:, None] * C), lower=True, trans="T")
-    return Theta - delta
+    return Theta_w - sla.solve_triangular(c, U0.T @ (gam[:, None] * C))
 
 
 def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):

@@ -488,6 +488,30 @@ class TestProject:
             assert ("DegenerateRow" in err) == (code == 2), err
             assert out.exists() == (code == 0)
 
+    def test_rank_one_lift_round_trips(self, tmp_path):
+        # gen-qkp n=5 lifts at r = 1, so the point file holds one column,
+        # which must be read back as an (N, 1) point, not a (1, N) row
+        inst_file = tmp_path / "q5.txt"
+        assert cli.run(["gen-qkp", "--n", "5", "--density", "0.5", "--seed", "3",
+                        "--out", str(inst_file)]) == 0
+        with open(inst_file) as fh:
+            inst = pb.lift_qkp(pb.parse_qkp(fh.read()))
+        V = pb.feasible_init(inst, inst.meta["r"]) + 0.01
+        assert V.shape[1] == 1
+        pt_file = tmp_path / "v5.txt"
+        np.savetxt(pt_file, V)
+        for method in ("gwa", "gwa-newton"):
+            out = tmp_path / f"p5_{method}.txt"
+            again = tmp_path / f"p5_{method}_again.txt"
+            for src, dst in ((pt_file, out), (out, again)):
+                argv = ["project", "--instance", str(inst_file), "--method", method,
+                        "--input-point", str(src), "--out", str(dst)]
+                assert cli.run(argv) == 0, (method, src)
+            P = np.loadtxt(out, ndmin=2)
+            assert P.shape == V.shape
+            assert mf.combined_residual(inst.manifold, P) <= 1e-9 * (np.linalg.norm(P) + 1.0)
+            assert np.loadtxt(again, ndmin=2).shape == V.shape
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_input_is_usage_error(self, qkp_file, tmp_path, capsys, value):
         with open(qkp_file) as fh:

@@ -543,6 +543,34 @@ def test_retract_newton_slra_from_a_base_off_the_affine_set():
     assert out.trace.combined[-1] <= 1e-10 * (np.linalg.norm(out.point) + 1.0)
 
 
+@pytest.mark.parametrize("case", ["coupled", "scattered"])
+def test_no_gram_solve_per_step(case, monkeypatch):
+    # the cached K is the one per-step elimination of the affine rows:
+    # once the manifold is built, no step, tangent projection or retraction
+    # solves with A A^T again (general_manifold(7) has binary rows 1, 2, 6,
+    # so binary_block takes its index-array path)
+    if case == "coupled":
+        M, x = coupled_setup()
+    else:
+        M = general_manifold(7)
+        x = feasible_point(M, 7)
+    assert isinstance(M.binary_index, slice) == (case == "coupled")
+    eta = 0.05 * unit_tangent(M, x, 3)
+
+    def refuse(self, Y):
+        raise AssertionError("gram_solve called after the manifold was built")
+
+    monkeypatch.setattr(mf.AffineSystem, "gram_solve", refuse)
+    mf.project_tangent(M, x, np.random.default_rng(4).standard_normal(x.shape))
+    V = x + eta
+    for step in (sv.apm_step, sv.iap_step, sv.newton_slra_step,
+                 sv.relaxed_newton_slra_step, sv.aphl_step):
+        step(M, V)
+    for kind in sv.RetractionKind:
+        out = sv.retract(M, x, eta, sv.RetractionConfig(kind=kind, tol=1e-8, maxiter=500))
+        assert out.converged, kind
+
+
 @pytest.mark.parametrize("path", ["direct", "smw"])
 def test_singular_schur_systems_raise_typed_errors(path):
     M, R = singular_slice_setup()
@@ -552,7 +580,8 @@ def test_singular_schur_systems_raise_typed_errors(path):
     # singular system, reached through project_slice directly and through APHL
     C = mf.row_normals(M, R)
     with pytest.raises(SingularSchur, match="slice system singular"):
-        on_route(path, mf.project_slice, M, R, C, np.ones(M.dims.s), np.zeros(M.dims.s))
+        E = np.zeros((M.dims.m_rows, M.dims.r))
+        on_route(path, mf.project_slice, M, R, C, np.ones(M.dims.s), np.zeros(M.dims.s), E)
     with pytest.raises(SingularSchur):
         on_route(path, sv.aphl_step, M, R)
     # dual point with Y = R: binary row 0 of Y is exactly e1 with weight 1
@@ -1007,7 +1036,7 @@ def test_pos_solve_keeps_the_checks_of_scipy_solve(G, rhs, expect):
     want_err, want_x, want_warn = _solve_outcome(
         lambda a, b: sla.solve(a, b, assume_a="pos"), G, rhs
     )
-    got_err, got_x, got_warn = _solve_outcome(sv._pos_solve, G, rhs)
+    got_err, got_x, got_warn = _solve_outcome(lambda a, b: sv._pos_solve(a, b)[0], G, rhs)
     assert got_err is {np.linalg.LinAlgError: SingularGram}.get(want_err, want_err)
     assert got_x == want_x
     assert got_warn == want_warn
@@ -1015,6 +1044,14 @@ def test_pos_solve_keeps_the_checks_of_scipy_solve(G, rhs, expect):
         assert got_err is None and got_warn == [expect]
     else:
         assert got_err is expect and got_warn == []
+    if got_err is None:
+        # the factor reproduces the symmetric matrix G's upper triangle stands for
+        G = np.array(G, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            U = np.triu(sv._pos_solve(G, np.array(rhs, dtype=float))[1])
+        sym = np.triu(G) + np.triu(G, 1).T
+        assert np.linalg.norm(U.T @ U - sym) <= 1e-12 * np.linalg.norm(sym)
 
 
 def test_gwa_newton_direct_smw_agree():
