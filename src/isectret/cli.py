@@ -118,10 +118,12 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def _load_instance(path: str, r: int | None = None) -> pb.ProblemInstance:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
         raise UsageError(str(err))
+    except UnicodeDecodeError as err:
+        raise MalformedFile(f"{path} is not UTF-8 text: {err}")
     if text.lstrip().startswith("qkp v1"):
         return pb.lift_qkp(pb.parse_qkp(text), r=r)
     name = os.path.splitext(os.path.basename(path))[0]
@@ -181,8 +183,8 @@ def _cmd_gen_qkp(args) -> int:
 
 def _cmd_verify_order(args) -> int:
     kinds = _parse_kinds(args.kinds)
-    if not 0.0 < args.t_min < args.t_max:
-        raise UsageError("need 0 < --t-min < --t-max")
+    if not (0.0 < args.t_min < args.t_max and math.isfinite(args.t_max)):
+        raise UsageError("need 0 < --t-min < --t-max < inf")
     if args.points < 2:
         raise UsageError("--points must be at least 2")
     inst = _load_instance(args.instance)

@@ -381,22 +381,30 @@ def sweep(M: IntersectionManifold, R: np.ndarray, linearized=False, h=None):
 
 
 def _spd_solve(S, rhs):
-    """S^{-1} rhs for a symmetric positive definite temporary S, by one
+    """(S^{-1} rhs, L) for a symmetric positive definite temporary S, by one
     LAPACK posv call (Cholesky) that reads the upper triangle of S and
-    overwrites S. Raises numpy.linalg.LinAlgError where the factorization
-    breaks down (S not positive definite) or the solution is not finite
-    (OpenBLAS's potrf lets a NaN pivot through with info = 0)."""
+    overwrites S. L is posv's Fortran-ordered array, S's own buffer for a
+    C-ordered S: its lower triangle is the Cholesky factor
+    (S = tril(L) tril(L)^T) and its strict upper triangle is left over, so
+    solve with it by solve_triangular(L, ..., lower=True). This is the
+    package's one breakdown rule for a symmetric system: posv info > 0
+    (S not positive definite), or a factor diagonal or solution that is not
+    finite (OpenBLAS's potrf lets a NaN pivot through with info = 0, and an
+    inf diagonal factors to a finite solution), raises
+    numpy.linalg.LinAlgError. schur_solve's callers turn it into
+    SingularSchur, the GWA dual step (solvers._gwa_weiszfeld) into
+    SingularGram."""
     # S.T is the Fortran-ordered view of S, which posv factors in place
     # instead of copying; its lower factorization is OpenBLAS's faster one
     # (19 against 29 us at s = 64, 69 against 95 us at s = 128)
-    _, x, info = _POSV(S.T, rhs, lower=True, overwrite_a=True)
+    L, x, info = _POSV(S.T, rhs, lower=True, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of posv")
-    if info > 0 or not np.isfinite(x).all():
+    if info > 0 or not (np.isfinite(x).all() and np.isfinite(L.diagonal()).all()):
         raise np.linalg.LinAlgError(
-            f"Schur system not positive definite or not finite (posv info = {info})"
+            f"system not positive definite or not finite (posv info = {info})"
         )
-    return x
+    return x, L
 
 
 def _row_kron(C, U):
@@ -419,16 +427,18 @@ def schur_solve(d, C, U, rhs, gram=None):
     passes the cached AffineSystem.low_rank_gram); only the direct route
     calls it.
 
-    Both routes factor by Cholesky, since every caller's system is positive
-    semidefinite. U U^T = A_B^T (A A^T)^{-1} A_B <= I, so with
-    d = diag(C C^T) (project_tangent, APHL, and NewtonSLRA, whose rows are
-    unit and d = 1) the matrix is (C C^T) o (I - U U^T) >= 0 by the Schur product
-    theorem. gwa_newton_iterate's I - (Yhat Yhat^T) o K, with unit rows Yhat
-    and K = Diag(sqrt(v_B)) U0 U0^T Diag(sqrt(v_B)) <= I, is
+    Both routes factor by Cholesky through _spd_solve, the package's one
+    Cholesky kernel (the GWA dual step factors its weighted Gram with it
+    too), since every caller's system is positive semidefinite.
+    U U^T = A_B^T (A A^T)^{-1} A_B <= I, so with d = diag(C C^T)
+    (project_tangent, APHL, and NewtonSLRA, whose rows are unit and d = 1)
+    the matrix is (C C^T) o (I - U U^T) >= 0 by the Schur product theorem.
+    gwa_newton_iterate's I - (Yhat Yhat^T) o K, with unit rows Yhat and
+    K = Diag(sqrt(v_B)) U0 U0^T Diag(sqrt(v_B)) <= I, is
     (Yhat Yhat^T) o (I - K) >= 0 the same way. The Woodbury core is positive
     definite exactly when the s x s matrix is. A system that is singular,
-    indefinite or not finite raises numpy.linalg.LinAlgError, which
-    project_slice and gwa_newton_iterate turn into SingularSchur.
+    indefinite or not finite raises _spd_solve's numpy.linalg.LinAlgError,
+    which project_slice and gwa_newton_iterate turn into SingularSchur.
 
     Cost: direct forms C C^T (s^2 r flops, plus s^2 m for U U^T when no
     cached one is passed) and factors the s x s matrix (s^3 / 3); smw forms
@@ -460,11 +470,11 @@ def schur_solve(d, C, U, rhs, gram=None):
     m = U.shape[1]
     if s <= _SMW_RATIO * m * r:
         UUt = U @ U.T if gram is None else gram()
-        return _spd_solve(np.diag(d) - (C @ C.T) * UUt, rhs)
+        return _spd_solve(np.diag(d) - (C @ C.T) * UUt, rhs)[0]
     W = _row_kron(C, U)
     Wd = W / d[:, None]
     core = np.eye(m * r) - W.T @ Wd
-    return rhs / d + Wd @ _spd_solve(core, Wd.T @ rhs)
+    return rhs / d + Wd @ _spd_solve(core, Wd.T @ rhs)[0]
 
 
 def project_slice(

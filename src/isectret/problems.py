@@ -132,6 +132,8 @@ class QkpInstance:
     seed: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"need n >= 1 items, got {self.n}")
         if self.Q.shape != (self.n, self.n) or self.a.shape != (self.n,):
             raise ValueError("Q must be n x n and a length n")
         if not np.array_equal(self.Q, self.Q.T):
@@ -141,8 +143,10 @@ class QkpInstance:
         if np.any(self.a < 1) or np.any(self.a > 50) or np.any(self.a != np.round(self.a)):
             raise ValueError("weights a must be integers in 1..50")
         want = 0.9 * float(np.sum(self.a))
-        if abs(self.tau - want) > 1e-12 * max(1.0, abs(want)):
+        if not abs(self.tau - want) <= 1e-12 * max(1.0, abs(want)):
             raise ValueError(f"capacity {self.tau} is not 0.9 * sum(a) = {want}")
+        if not 0.0 < self.density <= 1.0:
+            raise ValueError(f"density must be in (0, 1], got {self.density}")
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,7 @@ def parse_qaplib(text: str, name: str = "qap") -> QapInstance:
     """Parses the flat QAPLib layout: p, then p^2 entries of W, then p^2 of D.
 
     Mild asymmetry (at most 1e-9) is averaged away; anything larger is an
-    error rather than a silent repair.
+    error rather than a silent repair. A NaN or inf entry is MalformedFile.
     """
     tokens = text.split()
     if not tokens:
@@ -192,6 +196,8 @@ def parse_qaplib(text: str, name: str = "qap") -> QapInstance:
         vals = np.array([float(t) for t in tokens[1:]])
     except ValueError as e:
         raise MalformedFile(f"non-numeric entry: {e}") from e
+    if not np.isfinite(vals).all():
+        raise MalformedFile(f"non-finite entry {vals[~np.isfinite(vals)][0]}")
     mats = []
     for label, flat in (("W", vals[: p * p]), ("D", vals[p * p :])):
         M = flat.reshape(p, p)

@@ -13,9 +13,9 @@ cheap step map from V = x + eta:
    tangents (iterates live on M2),
  - gwa_iterate / gwa_newton_iterate: dual ascent for the exact metric
    projection, wrapped by metric_project. Each step factors its weighted
-   Gram A Diag(v) A^T once, by one LAPACK posv call (_pos_solve),
-   bit-identical to scipy.linalg.solve(..., assume_a="pos") and with the
-   same checks. gwa_iterate returns the Weiszfeld point it solves for;
+   Gram A Diag(v) A^T once, through mf._spd_solve, the package's one
+   Cholesky kernel (the Schur solves use it too), and raises SingularGram
+   where it breaks down. gwa_iterate returns the Weiszfeld point it solves for;
    gwa_newton_iterate corrects that point by its s x s Schur solve,
    reusing the same Cholesky factor.
    metric_project's loop reads each dual iterate's rows once: it forms
@@ -49,8 +49,6 @@ step.
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -88,10 +86,6 @@ __all__ = [
 
 # weight floor for the dual iteration; keeps A Diag(v) A^T bounded
 _GWA_WEIGHT_FLOOR = 1e-12
-
-# the LAPACK routines of the dual step's weighted-Gram solve, looked up once
-_POSV, _POCON, _LANGE = sla.get_lapack_funcs(("posv", "pocon", "lange"), (np.empty((1, 1)),))
-_EPS = np.finfo(float).eps
 
 # tapr's thresholds: the guard a0 on the start residual, the APM -> iAP
 # switch a1 (a2 = min(a1, tol * 10^3) opens the second-order phase), and the
@@ -264,70 +258,30 @@ def gwa_objective(M, Vprime, gamma, Theta) -> float:
     return _gwa_value(M, gamma, Theta, _gwa_rows(M, Vprime, Theta)[1])
 
 
-@functools.lru_cache(maxsize=8)
-def _upper_mask(m):
-    """The read-only m x m mask of the upper triangle, diagonal included."""
-    mask = np.triu(np.ones((m, m), dtype=bool))
-    mask.setflags(write=False)
-    return mask
-
-
-def _pos_solve(G, rhs):
-    """(G^{-1} rhs, c) for a symmetric positive definite G read from its
-    upper triangle, c the upper Cholesky factor (G = triu(c)^T triu(c); c's
-    strict lower triangle is not part of it). G^{-1} rhs comes from the one
-    LAPACK posv call sla.solve(G, rhs, assume_a="pos") makes, so with the
-    same bits, and with its checks: ValueError on NaN or inf, SingularGram
-    where the Cholesky factorization breaks down (or a 1 x 1 G, divided out
-    directly with c = sqrt(G), is zero), and a LinAlgWarning when pocon's
-    reciprocal condition estimate is below eps. The solution is C-ordered
-    like sla.solve's: posv's Fortran-ordered one takes another BLAS path in
-    later dot products (the dual objective's gamma @ Theta[:, 0]) and can
-    change their last bit."""
-    if not (np.isfinite(G).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if G.size == 1:
-        if G.item() == 0:
-            raise SingularGram("weighted Gram singular in dual update: 1 x 1 Gram is zero")
-        return rhs / G, np.sqrt(G)
-    # pocon needs the 1-norm of the symmetric matrix that G's upper triangle
-    # stands for (what LAPACK's lansy computes; scipy does not export it)
-    anorm = _LANGE("1", np.where(_upper_mask(G.shape[0]), G, G.T))
-    c, x, info = _POSV(G, rhs, lower=False)
-    if info > 0:
-        raise SingularGram(
-            f"weighted Gram singular in dual update: leading minor {info} not positive"
-        )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of posv")
-    rcond, _ = _POCON(c, anorm)
-    if rcond < _EPS:
-        warnings.warn(
-            f"ill-conditioned weighted Gram in dual update: rcond = {rcond}",
-            sla.LinAlgWarning,
-            stacklevel=4,
-        )
-    return np.ascontiguousarray(x), c
-
-
 def _gwa_weiszfeld(M, Vprime, gamma, norms):
-    """(Theta_w, c): the Weiszfeld point
+    """(Theta_w, L): the Weiszfeld point
     Theta_w = -(A Diag(v) A^T)^{-1} (A Diag(v) V' + gamma e1^T), v the GWA
-    weights from the row norms, and c the upper Cholesky factor of the
-    weighted Gram A Diag(v) A^T, both from one _pos_solve."""
+    weights from the row norms, and L, whose lower triangle is the Cholesky
+    factor of the weighted Gram A Diag(v) A^T, both from one mf._spd_solve
+    on the temporary Gram. This is the one place that turns the kernel's
+    LinAlgError (a Gram that is not positive definite, or not finite) into
+    SingularGram."""
     A = M.affine.A
     v = _gwa_weights(M, norms)
     Gv = A @ (v[:, None] * A.T)
     rhs = A @ (v[:, None] * Vprime)
     rhs[:, 0] += gamma
-    x, c = _pos_solve(Gv, rhs)
-    return -x, c
+    try:
+        x, L = mf._spd_solve(Gv, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram(f"weighted Gram singular in dual update: {exc}") from exc
+    return -x, L
 
 
 def gwa_iterate(M, Vprime, gamma, Theta, rows=None):
     """One weighted-least-squares (Weiszfeld) update of the dual variable:
     Theta = -(A Diag(v) A^T)^{-1} (A Diag(v) V' + gamma e1^T), v the GWA
-    weights at Y = V' + A^T Theta, solved by _pos_solve. rows is Theta's
+    weights at Y = V' + A^T Theta, solved by mf._spd_solve. rows is Theta's
     (Y, norms) from _gwa_rows when the caller holds them; the weights are
     then built from those norms, with the same bits."""
     _, norms = _gwa_rows(M, Vprime, Theta) if rows is None else rows
@@ -339,11 +293,11 @@ def gwa_newton_iterate(M, Vprime, gamma, Theta, rows=None):
     Gram M0 = A Diag(v) A^T (times I_r) minus a rank-s correction along the
     normalized binary rows Yhat, and the step lands at
     Theta_w - M0^{-1} A_B (gam o C), Theta_w the Weiszfeld point of
-    gwa_iterate. M0 is factored once, by the _pos_solve that gives Theta_w
-    (M0 = c^T c), so a breakdown raises SingularGram with _pos_solve's
-    checks. Woodbury reduces the Newton system to an s x s one, which
+    gwa_iterate. M0 is factored once, by the mf._spd_solve that gives
+    Theta_w (M0 = L L^T, L lower), so a breakdown raises SingularGram as in
+    gwa_iterate. Woodbury reduces the Newton system to an s x s one, which
     scaling by sqrt(v_B) makes symmetric: I - (C C^T) o (U0 U0^T) with
-    C = sqrt(v_B) Yhat and U0 = (c^{-T} A_B)^T, solved by mf.schur_solve for
+    C = sqrt(v_B) Yhat and U0 = (L^{-1} A_B)^T, solved by mf.schur_solve for
     gam with right-hand side <(A_B^T (Theta - Theta_w))_i, C_i>. A binary row
     of Y = V' + A^T Theta that vanishes (row i of V + A^T Theta at its
     sphere's center) has no weight and raises DegenerateRow. rows is
@@ -353,17 +307,17 @@ def gwa_newton_iterate(M, Vprime, gamma, Theta, rows=None):
     nb = norms[M.binary_index]
     if np.min(nb) < _GWA_WEIGHT_FLOOR:
         raise DegenerateRow(int(M.binary_rows[np.flatnonzero(nb < _GWA_WEIGHT_FLOOR)[0]]))
-    Theta_w, c = _gwa_weiszfeld(M, Vprime, gamma, norms)
+    Theta_w, L = _gwa_weiszfeld(M, Vprime, gamma, norms)
     AB = M.affine.A_B
     # no binary norm is below the floor, so v_B = 1 / nb exactly
     C = np.sqrt(1.0 / nb)[:, None] * (M.binary_block(Y) / nb[:, None])  # sqrt(v_B) Yhat
-    U0 = sla.solve_triangular(c, AB, trans="T").T
+    U0 = sla.solve_triangular(L, AB, lower=True).T
     rhs = np.einsum("ij,ij->i", AB.T @ (Theta - Theta_w), C)
     try:
         gam = mf.schur_solve(np.ones(M.dims.s), C, U0, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSchur(f"newton schur system singular: {exc}") from exc
-    return Theta_w - sla.solve_triangular(c, U0.T @ (gam[:, None] * C))
+    return Theta_w - sla.solve_triangular(L, U0.T @ (gam[:, None] * C), lower=True, trans="T")
 
 
 def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):

@@ -113,14 +113,30 @@ class TestExitCodes:
         assert cli.run(argv) == 1
         assert "nope.dat" in capsys.readouterr().err
 
-    def test_malformed_instance_file(self, tmp_path, capsys):
-        bad = tmp_path / "garbage.dat"
-        bad.write_text("this is not a problem instance\n")
-        argv = [
-            "verify-order", "--instance", str(bad),
-            "--kinds", "apm", "--out", str(tmp_path / "o.csv"),
-        ]
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"this is not a problem instance\n",
+            tiny_qap_text().replace("\n\n0 ", "\n\nnan ", 1).encode(),
+            tiny_qap_text().replace("\n\n0 ", "\n\ninf ", 1).encode(),
+            pb.format_qkp(pb.gen_qkp(5, 0.5, 3)).rsplit("\n", 2)[0].encode() + b"\nnan\n",
+            pb.format_qkp(pb.gen_qkp(5, 0.5, 3)).replace("v1 5 0.5", "v1 5 nan").encode(),
+            b"qkp v1 0 0.5 1\n0\n",
+            bytes(range(256)),
+        ],
+        ids=[
+            "garbage", "qap-nan", "qap-inf", "qkp-nan-capacity", "qkp-nan-density",
+            "qkp-no-items", "not-utf8",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["verify-order", "solve"])
+    def test_malformed_instance_file(self, command, content, tmp_path, capsys):
+        bad = tmp_path / "bad.dat"
+        bad.write_bytes(content)
+        what = ["--kinds", "apm"] if command == "verify-order" else ["--kind", "apm"]
+        argv = [command, "--instance", str(bad), *what, "--out", str(tmp_path / "o.csv")]
         assert cli.run(argv) == 1
+        assert capsys.readouterr().err.startswith("input error: MalformedFile: ")
 
     def test_unknown_retraction_kind(self, qap_file, tmp_path, capsys):
         argv = [
@@ -137,6 +153,15 @@ class TestExitCodes:
             "--out", str(tmp_path / "o.csv"),
         ]
         assert cli.run(argv) == 1
+        capsys.readouterr()
+        # a non-finite window is refused before the (missing) file is read
+        for t_min, t_max in (("1e-4", "inf"), ("nan", "1e-2"), ("1e-4", "nan")):
+            argv = [
+                "verify-order", "--instance", str(tmp_path / "nope.dat"), "--kinds", "apm",
+                "--t-min", t_min, "--t-max", t_max, "--out", str(tmp_path / "o.csv"),
+            ]
+            assert cli.run(argv) == 1
+            assert capsys.readouterr().err.startswith("usage error: need 0 < --t-min")
 
     def test_gen_qkp_bad_density(self, tmp_path, capsys):
         argv = [

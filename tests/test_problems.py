@@ -129,6 +129,16 @@ def test_parse_qkp_malformed():
         pb.parse_qkp("\n".join(good.splitlines()[:-1]))
     with pytest.raises(MalformedFile):
         pb.parse_qkp("")
+    body, tau = good.rstrip("\n").rsplit("\n", 1)
+    for bad_tau in ("nan", "inf", "-inf"):
+        with pytest.raises(MalformedFile):
+            pb.parse_qkp(f"{body}\n{bad_tau}\n")
+    for bad_density in ("nan", "inf", "0", "-0.5", "1.5"):
+        with pytest.raises(MalformedFile):
+            pb.parse_qkp(good.replace("qkp v1 4 0.9", f"qkp v1 4 {bad_density}", 1))
+    assert pb.parse_qkp(f"{body}\n{tau}\n").tau == float(tau)
+    with pytest.raises(MalformedFile):
+        pb.parse_qkp("qkp v1 0 0.5 1\n0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +161,15 @@ def test_parse_qaplib_truncated():
         pb.parse_qaplib("")
     with pytest.raises(MalformedFile):
         pb.parse_qaplib("2  0 x 1 0  0 2 2 0")
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_parse_qaplib_non_finite(entry):
+    # a symmetric pair, so no asymmetry check can catch it first
+    with pytest.raises(MalformedFile, match="non-finite entry"):
+        pb.parse_qaplib(f"2  0 {entry} {entry} 0  0 2 2 0")
+    with pytest.raises(MalformedFile, match="non-finite entry"):
+        pb.parse_qaplib(f"2  0 1 1 0  {entry} 2 2 0")
 
 
 def test_parse_qaplib_p12_header():

@@ -8,7 +8,6 @@ agreement validates the Schur-complement and Woodbury paths.
 
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -853,8 +852,9 @@ def _criterion6_dual_cases():
 
 
 def gwa_iterate_oracle(M, Vprime, gamma, Theta):
-    """The dual step with numpy's row norms and scipy's solve wrapper: the
-    weighted Gram system solved by sla.solve(assume_a="pos")."""
+    """The dual step with numpy's row norms and scipy's Cholesky wrappers:
+    the weighted Gram system factored by sla.cho_factor from the triangle
+    the kernel reads (the lower one of Gv.T) and solved by sla.cho_solve."""
     A = M.affine.A
     Y = Vprime + A.T @ Theta
     v = np.full(M.dims.N, 2.0)
@@ -863,7 +863,7 @@ def gwa_iterate_oracle(M, Vprime, gamma, Theta):
     Gv = A @ (v[:, None] * A.T)
     rhs = A @ (v[:, None] * Vprime)
     rhs[:, 0] += gamma
-    return -sla.solve(Gv, rhs, assume_a="pos")
+    return -sla.cho_solve(sla.cho_factor(Gv.T, lower=True), rhs)
 
 
 def gwa_objective_oracle(M, Vprime, gamma, Theta):
@@ -910,7 +910,6 @@ def test_gwa_dual_step_and_objective_match_the_scipy_oracle_bytes():
         for step in range(60):
             want = gwa_iterate_oracle(M, Vp, gamma, Theta)
             got = sv.gwa_iterate(M, Vp, gamma, Theta)
-            assert got.flags.c_contiguous, f"{label}, step {step}"
             assert got.tobytes() == want.tobytes(), f"{label}, step {step}"
             # the same step from the rows metric_project's loop holds
             held = sv.gwa_iterate(M, Vp, gamma, Theta, sv._gwa_rows(M, Vp, Theta))
@@ -996,18 +995,6 @@ def test_metric_project_loop_matches_the_unshared_loop_bytes(method):
         assert ("centred row", DegenerateRow) in outcomes
 
 
-def _solve_outcome(solve, G, rhs):
-    """(error class or None, solution bytes or None, warning classes)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            x = solve(np.array(G, dtype=float), np.array(rhs, dtype=float))
-        except (ValueError, np.linalg.LinAlgError, SingularGram) as err:
-            return type(err), None, [w.category for w in caught]
-    assert x.flags.c_contiguous
-    return None, x.tobytes(), [w.category for w in caught]
-
-
 @pytest.mark.parametrize(
     "G, rhs, expect",
     [
@@ -1016,42 +1003,55 @@ def _solve_outcome(solve, G, rhs):
         ([[2.5]], [[1.0, -3.0, 7.0]], None),
         # only the upper triangle is read: the 1e20 below the diagonal is not
         ([[4.0, 0.0], [1e20, 3.0]], [[1.0], [2.0]], None),
-        ([[np.nan, 0.0], [0.0, 1.0]], [[1.0], [1.0]], ValueError),
-        ([[1.0, 0.0], [np.nan, 1.0]], [[1.0], [1.0]], ValueError),
-        ([[1.0, 0.0], [0.0, 1.0]], [[np.inf], [1.0]], ValueError),
-        ([[np.inf]], [[1.0]], ValueError),
-        ([[1.0, 2.0], [2.0, 1.0]], [[1.0], [1.0]], SingularGram),
-        ([[1.0, 1e20], [0.0, 1.0]], [[1.0], [1.0]], SingularGram),
-        ([[0.0]], [[1.0, 2.0]], SingularGram),
-        ([[1.0, 0.0], [0.0, 1e-17]], [[1.0], [1.0]], sla.LinAlgWarning),
-        # pocon's estimate is 0 here; scipy warns, it does not raise
-        ([[1.0, 0.0], [0.0, 1e-320]], [[1.0], [1.0]], sla.LinAlgWarning),
+        ([[np.nan, 0.0], [0.0, 1.0]], [[1.0], [1.0]], np.linalg.LinAlgError),
+        # nor is this NaN
+        ([[1.0, 0.0], [np.nan, 1.0]], [[1.0], [1.0]], None),
+        ([[1.0, 0.0], [0.0, 1.0]], [[np.inf], [1.0]], np.linalg.LinAlgError),
+        # factors to L = inf and the finite solution 0
+        ([[np.inf]], [[1.0]], np.linalg.LinAlgError),
+        ([[1.0, 2.0], [2.0, 1.0]], [[1.0], [1.0]], np.linalg.LinAlgError),
+        ([[1.0, 1e20], [0.0, 1.0]], [[1.0], [1.0]], np.linalg.LinAlgError),
+        ([[0.0]], [[1.0, 2.0]], np.linalg.LinAlgError),
+        # ill-conditioned but with a finite solution, so no warning and no error
+        ([[1.0, 0.0], [0.0, 1e-17]], [[1.0], [1.0]], None),
+        # the solution 1e320 overflows to inf
+        ([[1.0, 0.0], [0.0, 1e-320]], [[1.0], [1.0]], np.linalg.LinAlgError),
     ],
     ids=[
         "spd", "1x1", "upper-only", "nan-upper", "nan-lower", "inf-rhs", "inf-1x1",
         "indefinite", "indefinite-upper", "zero-1x1", "rcond-below-eps", "rcond-zero",
     ],
 )
-def test_pos_solve_keeps_the_checks_of_scipy_solve(G, rhs, expect):
-    want_err, want_x, want_warn = _solve_outcome(
-        lambda a, b: sla.solve(a, b, assume_a="pos"), G, rhs
-    )
-    got_err, got_x, got_warn = _solve_outcome(lambda a, b: sv._pos_solve(a, b)[0], G, rhs)
-    assert got_err is {np.linalg.LinAlgError: SingularGram}.get(want_err, want_err)
-    assert got_x == want_x
-    assert got_warn == want_warn
-    if expect is sla.LinAlgWarning:
-        assert got_err is None and got_warn == [expect]
+def test_pos_solve_keeps_the_checks_of_scipy_solve(G, rhs, expect, monkeypatch):
+    """The contract of mf._spd_solve, the one Cholesky kernel (the test is
+    named for the scipy-emulating posv wrapper the dual step used before).
+    It reads the upper triangle of G; where that stands for a positive
+    definite matrix and the solution is finite, it returns the solution and
+    a factor L with tril(L) tril(L)^T equal to that matrix, else it raises
+    LinAlgError, which the GWA dual step reports as SingularGram."""
+    G = np.array(G, dtype=float)
+    rhs = np.array(rhs, dtype=float)
+    sym = np.triu(G) + np.triu(G, 1).T
+    if expect is None:
+        x, L = mf._spd_solve(G.copy(), rhs)
+        L = np.tril(L)
+        assert np.isfinite(x).all()
+        assert np.linalg.norm(L @ L.T - sym) <= 1e-12 * np.linalg.norm(sym)
+        assert np.linalg.norm(sym @ x - rhs) <= 1e-12 * np.linalg.norm(sym) * np.linalg.norm(x)
     else:
-        assert got_err is expect and got_warn == []
-    if got_err is None:
-        # the factor reproduces the symmetric matrix G's upper triangle stands for
-        G = np.array(G, dtype=float)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            U = np.triu(sv._pos_solve(G, np.array(rhs, dtype=float))[1])
-        sym = np.triu(G) + np.triu(G, 1).T
-        assert np.linalg.norm(U.T @ U - sym) <= 1e-12 * np.linalg.norm(sym)
+        with pytest.raises(expect):
+            mf._spd_solve(G.copy(), rhs)
+    # the dual step, handed this system in place of its weighted Gram
+    M = decoupled_manifold(seed=11)
+    Vp, gamma = _dual_data(M, feasible_point(M, seed=11))
+    Theta = np.zeros((M.dims.m_rows, M.dims.r))
+    spd_solve = mf._spd_solve
+    monkeypatch.setattr(mf, "_spd_solve", lambda S, b: spd_solve(G.copy(), rhs))
+    if expect is None:
+        assert sv.gwa_iterate(M, Vp, gamma, Theta).tobytes() == (-x).tobytes()
+    else:
+        with pytest.raises(SingularGram, match="weighted Gram singular in dual update"):
+            sv.gwa_iterate(M, Vp, gamma, Theta)
 
 
 def test_gwa_newton_direct_smw_agree():
