@@ -10,7 +10,6 @@ from .errors import (
     MalformedFile,
     MaxIterExceeded,
     NearZeroInput,
-    NonProjector,
     ProblemTooLarge,
     SingularGram,
     SingularSchur,
@@ -23,7 +22,6 @@ from .manifold import (
     ProblemDims,
     TangentVector,
     affine_residual,
-    angle_cosine,
     binary_residual,
     combined_residual,
     linearized_project,

@@ -11,7 +11,6 @@ __all__ = [
     "SingularGram",
     "DegenerateRow",
     "TangentSolveSingular",
-    "NonProjector",
     "SingularSchur",
     "VanishingDirection",
     "InitialResidualTooLarge",
@@ -52,11 +51,6 @@ class DegenerateRow(IsectError):
 class TangentSolveSingular(IsectError):
     """The KKT system of the tangent-space projection is singular, which
     signals loss of constraint independence at the base point."""
-
-
-class NonProjector(IsectError):
-    """Input matrix is not an orthogonal projector (symmetry or idempotence
-    violated beyond tolerance)."""
 
 
 class SingularSchur(IsectError):

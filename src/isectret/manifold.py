@@ -15,15 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
-from .errors import (
-    DegenerateRow,
-    NonProjector,
-    SingularGram,
-    SingularSchur,
-    TangentSolveSingular,
-)
+from .errors import DegenerateRow, SingularGram, SingularSchur, TangentSolveSingular
 
 __all__ = [
     "ProblemDims",
@@ -46,7 +40,6 @@ __all__ = [
     "project_slice",
     "schur_solve",
     "linearized_project",
-    "angle_cosine",
     "FEASIBILITY_TOL",
 ]
 
@@ -61,7 +54,7 @@ _DEGENERATE_TOL = 1e-14
 # see schur_solve)
 _SMW_RATIO = 1.5
 
-# the LAPACK routine of the Schur solve, looked up once
+# the LAPACK routine of every symmetric positive definite solve, looked up once
 (_POSV,) = get_lapack_funcs(("posv",), (np.empty((1, 1)),))
 
 
@@ -85,20 +78,23 @@ class AffineSystem:
     """The affine factor A R = b e1^T with its cached Gram factorization.
 
     K = A^T (A A^T)^{-1}, the N x m matrix of the affine projection
-    R - K (A R - b e1^T), is built once from the cached Cholesky factor of
-    A A^T by gram_solve, which applies (A A^T)^{-1} by scipy's cho_solve.
-    K is the one elimination of the affine rows the kernels use per step:
-    a projection, a slice solve or a relaxed NewtonSLRA step is a product
-    with K and no solve. A_B is the fancy-indexed copy A[:, binary_cols],
-    kept for the slice and dual solvers; low_rank_factor is U with
+    R - K (A R - b e1^T), and the Cholesky factor L of A A^T both come from
+    one _spd_solve call on the Gram, the package's one Cholesky kernel: K is
+    the transpose of its solution (A A^T)^{-1} A. K is the one elimination
+    of the affine rows the kernels use per step: a projection, a slice solve
+    or a relaxed NewtonSLRA step is a product with K and no solve. A_B is
+    the fancy-indexed copy A[:, binary_cols], kept for the slice and dual
+    solvers; low_rank_factor is U = (L^{-1} A_B)^T, with
     A_B^T (A A^T)^{-1} A_B = U U^T, reused by the Schur-complement solvers,
     and low_rank_gram is U U^T itself, built on first use. K, A_B and
-    low_rank_gram are read-only.
+    low_rank_gram are read-only. gram_solve applies (A A^T)^{-1} by
+    _spd_solve on a copy of the Gram; no kernel calls it.
 
-    Neither gram_solve nor the kernels built on K check their input for
-    NaN or inf: a non-finite input gives a non-finite output. The entry
-    points (retract, project_tangent, metric_project, solve and the CLI's
-    project) check each point once, through check_point.
+    The kernels built on K do not check their input for NaN or inf: a
+    non-finite input gives a non-finite output (gram_solve raises
+    _spd_solve's numpy.linalg.LinAlgError). The entry points (retract,
+    project_tangent, metric_project, solve and the CLI's project) check
+    each point once, through check_point.
     """
 
     def __init__(self, A: np.ndarray, b_col: np.ndarray, binary_cols: np.ndarray):
@@ -114,14 +110,15 @@ class AffineSystem:
             raise SingularGram(
                 f"A A^T has eigenvalue ratio {w[0]:.3e}/{w[-1]:.3e}; affine rows are rank deficient"
             )
-        self._factor, _ = cho_factor(G, lower=True)
-        self.K = np.ascontiguousarray(self.gram_solve(A).T)
+        self._gram = G
+        X, L = _spd_solve(G.copy(), A)
+        # posv's solution is Fortran-ordered, so its transpose is C-ordered
+        self.K = X.T
         self.K.setflags(write=False)
         # a copy, not a view: BLAS takes the same path on it as on A[:, B]
         self.A_B = A[:, binary_cols]
         self.A_B.setflags(write=False)
         # U = (L^{-1} A_B)^T so that U U^T = A_B^T (A A^T)^{-1} A_B
-        L = np.tril(self._factor)
         self.low_rank_factor = solve_triangular(L, self.A_B, lower=True).T
 
     @functools.cached_property
@@ -135,7 +132,7 @@ class AffineSystem:
         return G
 
     def gram_solve(self, Y: np.ndarray) -> np.ndarray:
-        return cho_solve((self._factor, True), Y, check_finite=False)
+        return _spd_solve(self._gram.copy(), Y)[0]
 
 
 def _row_index(rows: np.ndarray):
@@ -393,7 +390,8 @@ def _spd_solve(S, rhs):
     inf diagonal factors to a finite solution), raises
     numpy.linalg.LinAlgError. schur_solve's callers turn it into
     SingularSchur, the GWA dual step (solvers._gwa_weiszfeld) into
-    SingularGram."""
+    SingularGram; AffineSystem factors A A^T with it after its own rank
+    check, and its gram_solve lets it through."""
     # S.T is the Fortran-ordered view of S, which posv factors in place
     # instead of copying; its lower factorization is OpenBLAS's faster one
     # (19 against 29 us at s = 64, 69 against 95 us at s = 128)
@@ -428,8 +426,9 @@ def schur_solve(d, C, U, rhs, gram=None):
     calls it.
 
     Both routes factor by Cholesky through _spd_solve, the package's one
-    Cholesky kernel (the GWA dual step factors its weighted Gram with it
-    too), since every caller's system is positive semidefinite.
+    Cholesky kernel (AffineSystem factors A A^T and the GWA dual step its
+    weighted Gram with it too), since every caller's system is positive
+    semidefinite.
     U U^T = A_B^T (A A^T)^{-1} A_B <= I, so with d = diag(C C^T)
     (project_tangent, APHL, and NewtonSLRA, whose rows are unit and d = 1)
     the matrix is (C C^T) o (I - U U^T) >= 0 by the Schur product theorem.
@@ -565,27 +564,3 @@ def project_tangent(
         raise TangentSolveSingular(f"tangent KKT solve failed: {e}") from e
     return TangentVector(xi=xi, base=R)
 
-
-def _check_projector(P: np.ndarray, name: str) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise NonProjector(f"{name} is not square: shape {P.shape}")
-    if not np.allclose(P, P.T, atol=1e-10):
-        raise NonProjector(f"{name} is not symmetric to 1e-10")
-    if not np.allclose(P @ P, P, atol=1e-10):
-        raise NonProjector(f"{name} is not idempotent to 1e-10")
-    return P
-
-
-def angle_cosine(P1: np.ndarray, P2: np.ndarray, Pcap: np.ndarray) -> float:
-    """Spectral norm ||P2 P1 - Pcap||_2, the cosine of the principal angle
-    between the subspaces relative to their intersection. Values strictly
-    below 1 drive the linear contraction of alternating projections."""
-    P1 = _check_projector(P1, "P1")
-    P2 = _check_projector(P2, "P2")
-    Pcap = _check_projector(Pcap, "Pcap")
-    if P1.shape != P2.shape or P1.shape != Pcap.shape:
-        raise NonProjector(
-            f"projector shapes disagree: {P1.shape}, {P2.shape}, {Pcap.shape}"
-        )
-    return float(np.linalg.norm(P2 @ P1 - Pcap, 2))

@@ -14,8 +14,9 @@ cheap step map from V = x + eta:
  - gwa_iterate / gwa_newton_iterate: dual ascent for the exact metric
    projection, wrapped by metric_project. Each step factors its weighted
    Gram A Diag(v) A^T once, through mf._spd_solve, the package's one
-   Cholesky kernel (the Schur solves use it too), and raises SingularGram
-   where it breaks down. gwa_iterate returns the Weiszfeld point it solves for;
+   Cholesky kernel (the Schur solves and the affine Gram use it too), and
+   raises SingularGram where it breaks down. gwa_iterate returns the
+   Weiszfeld point it solves for;
    gwa_newton_iterate corrects that point by its s x s Schur solve,
    reusing the same Cholesky factor.
    metric_project's loop reads each dual iterate's rows once: it forms
@@ -87,6 +88,11 @@ __all__ = [
 # weight floor for the dual iteration; keeps A Diag(v) A^T bounded
 _GWA_WEIGHT_FLOOR = 1e-12
 
+# the floor of the metric kinds' dual tolerance (relative to ||Theta|| + 1):
+# near their limit the dual updates cycle at relative sizes of 3e-14 to
+# 4e-14 (1.6e-13 seen), so a smaller bound is never met
+_DUAL_TOL_FLOOR = 1e3 * np.finfo(float).eps
+
 # tapr's thresholds: the guard a0 on the start residual, the APM -> iAP
 # switch a1 (a2 = min(a1, tol * 10^3) opens the second-order phase), and the
 # merit factors: an iAP probe is slow above (1 - mu0), accepted within
@@ -109,6 +115,9 @@ class RetractionKind(Enum):
 
 @dataclass(frozen=True)
 class RetractionConfig:
+    """maxiter counts retraction iterations only: a metric kind takes one,
+    and its dual loop keeps metric_project's own budget."""
+
     kind: RetractionKind = RetractionKind.APM
     tol: float = 1e-9
     maxiter: int = 200
@@ -446,8 +455,9 @@ def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult
     until the combined residual meets the bound. Raises MaxIterExceeded
     (carrying the partial result) when the budget runs out. APM and iAP run
     the fused sweep (mf.sweep), which returns each step's residual with its
-    point; the metric kinds take one metric_project step; TAPR runs tapr's
-    phase machine.
+    point; the metric kinds take one metric_project step, with its default
+    budget and a dual tolerance of cfg.tol * 1e-2 floored at
+    _DUAL_TOL_FLOOR; TAPR runs tapr's phase machine.
 
     x must pass mf.check_base unless base_res, x's combined residual when
     the caller holds it (a base that carries the residual of an earlier
@@ -467,8 +477,8 @@ def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult
 
         def project(y, res):
             # dual tolerance sits below the primal target so the recovered
-            # point clears the residual bound
-            point = metric_project(M, y, method=method, tol=cfg.tol * 1e-2, maxiter=cfg.maxiter)
+            # point clears the residual bound, but not below roundoff
+            point = metric_project(M, y, method=method, tol=max(cfg.tol * 1e-2, _DUAL_TOL_FLOOR))
             return point, mf.residual_norms(M, point), kind.value
 
         return _iterate(M, V, res, replace(cfg, maxiter=1), project)

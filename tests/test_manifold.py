@@ -12,7 +12,7 @@ from test_solvers import (
 from isectret import manifold as mf
 from isectret import problems as pb
 from isectret import solvers as sv
-from isectret.errors import DegenerateRow, NonProjector
+from isectret.errors import DegenerateRow
 
 
 def line_manifold(r=1):
@@ -345,50 +345,6 @@ def test_linearized_project_second_order_agreement():
 
 
 # ---------------------------------------------------------------------------
-# angle_cosine
-
-
-def rot2(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def line_projector(u):
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
-    return np.outer(u, u)
-
-
-def test_angle_cosine_identical_lines():
-    P = line_projector([1.0, 2.0])
-    assert mf.angle_cosine(P, P, P) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_angle_cosine_sixty_degrees():
-    P1 = line_projector([1.0, 0.0])
-    P2 = line_projector(rot2(np.pi / 3) @ np.array([1.0, 0.0]))
-    val = mf.angle_cosine(P1, P2, np.zeros((2, 2)))
-    assert val == pytest.approx(0.5, abs=1e-12)
-    # brute-force oracle: max over a unit-circle grid of |(P2 P1 - Pcap) x|
-    thetas = np.linspace(0, 2 * np.pi, 20001)
-    X = np.stack([np.cos(thetas), np.sin(thetas)])
-    grid_max = np.max(np.linalg.norm(P2 @ P1 @ X, axis=0))
-    assert val == pytest.approx(grid_max, abs=1e-7)
-
-
-def test_angle_cosine_orthogonal_lines():
-    P1 = line_projector([1.0, 0.0])
-    P2 = line_projector([0.0, 1.0])
-    assert mf.angle_cosine(P1, P2, np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_angle_cosine_rejects_non_projector():
-    P = np.array([[1.0, 0.1], [0.0, 0.0]])
-    with pytest.raises(NonProjector):
-        mf.angle_cosine(P, P, P)
-
-
-# ---------------------------------------------------------------------------
 # construction invariants
 
 
@@ -419,6 +375,16 @@ def test_gram_solve_roundtrip():
     y = rng.standard_normal((M.dims.m_rows, 3))
     x = M.affine.gram_solve(y)
     assert np.allclose(G @ x, y, rtol=1e-10, atol=1e-12)
+
+
+def test_gram_solve_rejects_a_non_finite_input():
+    # gram_solve is the one-call Cholesky kernel, whose breakdown rule
+    # refuses a solution that is not finite
+    M = decoupled_manifold(seed=51)
+    y = np.ones((M.dims.m_rows, 2))
+    y[0, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        M.affine.gram_solve(y)
 
 
 def test_low_rank_factor_reproduces_schur_kernel():
