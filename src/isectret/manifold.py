@@ -209,9 +209,15 @@ def check_point(M: IntersectionManifold, R, name: str) -> np.ndarray:
     ValueError naming it when its shape is not (N, r) or it holds nan or
     inf. The kernels behind the entry points check nothing."""
     R = _check_dims(M, R, name)
-    if not np.isfinite(R).all():
+    if not _all_finite(R):
         raise ValueError(f"{name} contains nan or inf")
     return R
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all() without ndarray.all's Python-level dispatch: the
+    same verdict on every array, the empty one (True) included."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 def check_count(name: str, value) -> int:
@@ -386,8 +392,8 @@ def _spd_solve(S, rhs):
     solve with it by solve_triangular(L, ..., lower=True). This is the
     package's one breakdown rule for a symmetric system: posv info > 0
     (S not positive definite), or a factor diagonal or solution that is not
-    finite (OpenBLAS's potrf lets a NaN pivot through with info = 0, and an
-    inf diagonal factors to a finite solution), raises
+    finite by _all_finite (OpenBLAS's potrf lets a NaN pivot through with
+    info = 0, and an inf diagonal factors to a finite solution), raises
     numpy.linalg.LinAlgError. schur_solve's callers turn it into
     SingularSchur, the GWA dual step (solvers._gwa_weiszfeld) into
     SingularGram; AffineSystem factors A A^T with it after its own rank
@@ -398,7 +404,7 @@ def _spd_solve(S, rhs):
     L, x, info = _POSV(S.T, rhs, lower=True, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of posv")
-    if info > 0 or not (np.isfinite(x).all() and np.isfinite(L.diagonal()).all()):
+    if info > 0 or not (_all_finite(x) and _all_finite(L.diagonal())):
         raise np.linalg.LinAlgError(
             f"system not positive definite or not finite (posv info = {info})"
         )

@@ -20,14 +20,17 @@ cheap step map from V = x + eta:
    gwa_newton_iterate corrects that point by its s x s Schur solve,
    reusing the same Cholesky factor.
    metric_project's loop reads each dual iterate's rows once: it forms
-   Y = V' + A^T Theta and its row norms (_gwa_rows), takes the objective
-   value from them and hands them to the next step, so neither is
-   recomputed. Called alone, a step forms them itself, with the same bits.
+   Y = V' + A^T Theta and its row norms (_gwa_rows) and hands them to the
+   next step, so neither is recomputed. Called alone, a step forms them
+   itself, with the same bits. The dual objective is evaluated only at
+   candidate stops, the steps whose update met its bound, from the rows
+   the loop already holds for the two iterates it compares.
 
 retract() is the only way into a retraction. It checks (x, eta), forms
-V = x + eta and V's residual, and hands them to one loop, _iterate, which
-records the start, tests the residual bound, records each step (phase tag,
-residuals, step norm) and raises MaxIterExceeded with the partial result.
+V = x + eta and V's residual, rejects a V whose norm or residual overflows
+float64, and hands them to one loop, _iterate, which records the start,
+tests the residual bound, records each step (phase tag, residuals, step
+norm) and raises MaxIterExceeded with the partial result.
 _iterate is also the one place that retries a step: a step that meets a
 binary row at its sphere's centre (DegenerateRow) runs once more from a
 seeded 1e-12 bump of that row, and any error that escapes carries its
@@ -50,6 +53,7 @@ step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -276,9 +280,9 @@ def _gwa_weiszfeld(M, Vprime, gamma, norms):
     LinAlgError (a Gram that is not positive definite, or not finite) into
     SingularGram."""
     A = M.affine.A
-    v = _gwa_weights(M, norms)
-    Gv = A @ (v[:, None] * A.T)
-    rhs = A @ (v[:, None] * Vprime)
+    v = _gwa_weights(M, norms)[:, None]
+    Gv = A @ (v * A.T)
+    rhs = A @ (v * Vprime)
     rhs[:, 0] += gamma
     try:
         x, L = mf._spd_solve(Gv, rhs)
@@ -335,11 +339,14 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
     Runs the chosen dual iteration from Theta = 0 until the update is small
     and the dual objective did not increase, then recovers the primal point
     as project_binary(V + A^T Theta*). Each iterate's rows Y = V' + A^T Theta
-    and their norms are computed once: its objective value and the step
-    taken from it both read them. Raises MaxIterExceeded if the dual loop
-    does not settle (its message gives the last update and the bound it
-    missed), or if the recovered point misses the bound tol * (||P|| + 1)
-    and is also less feasible than V (a stalled dual step).
+    and their norms are computed once, and the step taken from it reads
+    them. The objective is evaluated only at candidate stops, the steps
+    whose update met its bound, from the rows the loop holds for the two
+    iterates it compares: a loop whose updates never meet their bound never
+    evaluates it. Raises MaxIterExceeded if the dual loop does not settle
+    (its message gives the last update and the bound it missed), or if the
+    recovered point misses the bound tol * (||P|| + 1) and is also less
+    feasible than V (a stalled dual step).
     """
     if method not in ("gwa", "gwa-newton"):
         raise ValueError("method must be 'gwa' or 'gwa-newton'")
@@ -354,16 +361,18 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
     step = gwa_iterate if method == "gwa" else gwa_newton_iterate
     Theta = np.zeros((M.dims.m_rows, M.dims.r))
     rows = _gwa_rows(M, Vp, Theta)
-    g_cur = _gwa_value(M, gamma, Theta, rows[1])
     for _ in range(maxiter):
-        # Theta_{k+1}'s rows serve both its objective value and the next step
+        # Theta_{k+1}'s rows serve the next step and, at a candidate stop,
+        # its objective value
         nxt = step(M, Vp, gamma, Theta, rows)
-        rows = _gwa_rows(M, Vp, nxt)
-        g_nxt = _gwa_value(M, gamma, nxt, rows[1])
+        nxt_rows = _gwa_rows(M, Vp, nxt)
         change = mf.frobenius_norm(nxt - Theta)
         bound = tol * (mf.frobenius_norm(Theta) + 1.0)
-        done = change <= bound and g_nxt <= g_cur + 1e-12 * (abs(g_cur) + 1.0)
-        Theta, g_cur = nxt, g_nxt
+        done = False
+        if change <= bound:
+            g_cur = _gwa_value(M, gamma, Theta, rows[1])
+            done = _gwa_value(M, gamma, nxt, nxt_rows[1]) <= g_cur + 1e-12 * (abs(g_cur) + 1.0)
+        Theta, rows = nxt, nxt_rows
         if done:
             P = mf.project_binary(M, V + A.T @ Theta)
             res = mf.combined_residual(M, P)
@@ -419,10 +428,16 @@ def _validate_base_and_tangent(M, x, eta, base_res=None):
     return x, eta
 
 
+def _bound(cfg, y):
+    """The residual bound at y: cfg.tol, relative to ||y||_F + 1 unless
+    cfg.tol_absolute."""
+    return cfg.tol if cfg.tol_absolute else cfg.tol * (mf.frobenius_norm(y) + 1.0)
+
+
 def _iterate(M, V, res, cfg, advance, init_tag="init", start=None):
     """The one retraction loop. Records V and returns it if it already meets
-    the bound (cfg.tol, relative to ||y||_F + 1 unless cfg.tol_absolute),
-    else runs start(y, res) -> (y, res) once (iteration 0) and then
+    the bound _bound(cfg, V) (a NaN residual never does), else runs
+    start(y, res) -> (y, res) once (iteration 0) and then
     advance(y, res) -> (y, res, tag) for iterations 1..cfg.maxiter until the
     bound holds, each through _attempt. Raises MaxIterExceeded carrying the
     partial result when the budget runs out.
@@ -434,7 +449,7 @@ def _iterate(M, V, res, cfg, advance, init_tag="init", start=None):
     trace = IterTrace()
     trace.record(init_tag, res[0], res[1], 0.0)
     y, i = V, 0
-    while res[0] > (cfg.tol if cfg.tol_absolute else cfg.tol * (mf.frobenius_norm(y) + 1.0)):
+    while not res[0] <= _bound(cfg, y):
         if i == cfg.maxiter:
             raise MaxIterExceeded(
                 f"retraction ({cfg.kind.value}) missed tol {cfg.tol:g} "
@@ -461,12 +476,24 @@ def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult
 
     x must pass mf.check_base unless base_res, x's combined residual when
     the caller holds it (a base that carries the residual of an earlier
-    inexact retraction), is given; then that guard is skipped."""
+    inexact retraction), is given; then that guard is skipped. A V whose
+    norm or combined residual is not finite in float64 (an eta so large
+    that its squares overflow) raises ValueError, as nan or inf input
+    does, instead of meeting an infinite bound."""
     if not isinstance(cfg, RetractionConfig):
         raise TypeError("cfg must be a RetractionConfig")
-    x, eta = _validate_base_and_tangent(M, x, eta, base_res=base_res)
-    V = x + eta
-    res = mf.residual_norms(M, V)
+    # overflow here is reported by the finiteness test below, not as a
+    # warning; comparisons with an overflowed norm pass, so that test is
+    # what rejects such input
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, eta = _validate_base_and_tangent(M, x, eta, base_res=base_res)
+        V = x + eta
+        res = mf.residual_norms(M, V)
+        size = mf.frobenius_norm(V)
+    if not (math.isfinite(size) and math.isfinite(res[0])):
+        raise ValueError(
+            f"x + eta overflows float64: norm {size:.3e}, combined residual {res[0]:.3e}"
+        )
     kind = cfg.kind
     # the step maps and tapr are looked up per call: they are module globals
     # that may be rebound
@@ -481,7 +508,18 @@ def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult
             point = metric_project(M, y, method=method, tol=max(cfg.tol * 1e-2, _DUAL_TOL_FLOOR))
             return point, mf.residual_norms(M, point), kind.value
 
-        return _iterate(M, V, res, replace(cfg, maxiter=1), project)
+        try:
+            return _iterate(M, V, res, replace(cfg, maxiter=1), project)
+        except MaxIterExceeded as err:
+            if err.result is None:
+                raise  # metric_project's own: a dual loop that did not settle or stalled
+            # the dual loop settled, on a point that misses the retraction's bound
+            raise MaxIterExceeded(
+                f"retraction ({kind.value}): the {method} dual loop settled on a point with "
+                f"residual {err.result.trace.combined[-1]:.3e} against its bound "
+                f"{_bound(cfg, err.result.point):.3e}",
+                result=err.result,
+            ) from None
 
     if kind is RetractionKind.APM:
         return _iterate(M, V, res, cfg, lambda y, res: (*apm_step(M, y), kind.value))

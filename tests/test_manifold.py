@@ -622,3 +622,20 @@ def test_aphl_step_off_the_spheres_matches_the_oracle(path):
     want = mf.project_binary(M, R + aphl_delta_oracle(M, R))
     got = on_route(path, sv.aphl_step, M, R)
     assert np.linalg.norm(got - want) < 1e-9 * (np.linalg.norm(want) + 1.0)
+
+
+def _finiteness_cases():
+    """Arrays of every shape and layout the finiteness test meets: empty
+    ones, a 0-d one, C- and Fortran-ordered matrices and a strided diagonal
+    view, each clean and with one nan, inf or -inf on the diagonal."""
+    yield np.zeros(0)
+    yield np.zeros((0, 3))
+    for value in (2.0, np.nan, np.inf, -np.inf):
+        G = np.arange(12.0).reshape(3, 4)
+        G[2, 2] = value
+        yield from (np.array(value), G, np.asfortranarray(G), G[:, :3].diagonal())
+
+
+def test_all_finite_agrees_with_isfinite_all():
+    for a in _finiteness_cases():
+        assert mf._all_finite(a) == bool(np.isfinite(a).all()), a

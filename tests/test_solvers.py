@@ -1039,6 +1039,50 @@ def test_metric_project_loop_matches_the_unshared_loop_bytes(method):
         assert ("centred row", DegenerateRow) in outcomes
 
 
+def log_dual_loop(monkeypatch, method):
+    """Rebind the method's dual step and solvers._gwa_value to loggers:
+    steps gets (Theta, its update) per step, values gets (number of steps
+    taken, Theta) per objective evaluation."""
+    steps, values = [], []
+    name = "gwa_iterate" if method == "gwa" else "gwa_newton_iterate"
+    step, value = getattr(sv, name), sv._gwa_value
+
+    def logged_step(M, Vprime, gamma, Theta, rows=None):
+        nxt = step(M, Vprime, gamma, Theta, rows)
+        steps.append((Theta, nxt))
+        return nxt
+
+    def logged_value(M, gamma, Theta, norms):
+        values.append((len(steps), Theta))
+        return value(M, gamma, Theta, norms)
+
+    monkeypatch.setattr(sv, name, logged_step)
+    monkeypatch.setattr(sv, "_gwa_value", logged_value)
+    return steps, values
+
+
+def test_metric_project_evaluates_the_objective_only_at_candidate_stops(monkeypatch):
+    points = {label: (M, V) for label, M, V in _lift_points()}
+    # on the QKP n=100 point no gwa update meets its bound in 500 steps, so
+    # the objective is never evaluated
+    steps, values = log_dual_loop(monkeypatch, "gwa")
+    with pytest.raises(MaxIterExceeded, match="did not settle in 500 steps"):
+        sv.metric_project(*points["qkp100 lift"], method="gwa")
+    assert len(steps) == 500
+    assert values == []
+    # where the loop settles, each evaluation reads one of the two iterates
+    # of a step whose update met its bound, and the last step is such a stop
+    for label, method in (("qap lift", "gwa"), ("qkp100 lift", "gwa-newton")):
+        monkeypatch.undo()
+        steps, values = log_dual_loop(monkeypatch, method)
+        sv.metric_project(*points[label], method=method)
+        assert values and values[-1][0] == len(steps), label
+        for k, Theta in values:
+            prev, nxt = steps[k - 1]
+            assert np.linalg.norm(nxt - prev) <= 1e-9 * (np.linalg.norm(prev) + 1.0), (label, k)
+            assert Theta is prev or Theta is nxt, (label, k)
+
+
 @pytest.mark.parametrize(
     "G, rhs, expect",
     [
@@ -1264,6 +1308,19 @@ def test_metric_gwa_budget_error_names_the_dual_budget():
         if msg.startswith("dual iteration"):
             assert "did not settle in 500 steps" in msg, (label, msg)
             dual += 1
+        if label in ("qap8, t=0.001", "qap8, t=0.05"):
+            # here the dual loop settles, on a point that misses the
+            # retraction's bound; the message says so with both numbers
+            read = re.fullmatch(
+                r"retraction \(metric-gwa\): the gwa dual loop settled on a point "
+                r"with residual (\S+) against its bound (\S+)",
+                msg,
+            )
+            assert read is not None, (label, msg)
+            point = err.value.result.point
+            assert float(read[1]) == pytest.approx(mf.combined_residual(M, point), rel=1e-3)
+            assert float(read[2]) == 1e-12
+            assert float(read[1]) > float(read[2])
     assert dual >= 3
 
 
@@ -1309,6 +1366,33 @@ def test_retract_and_tapr_reject_nonfinite_input_before_any_step(monkeypatch, va
             with pytest.raises(ValueError):
                 sv.retract(M, bad_x, bad_eta, cfg)
     assert done == []
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_retract_rejects_a_start_point_whose_norm_overflows(monkeypatch, scale):
+    # every entry of x + scale * eta is finite, but its squared norm
+    # overflows, so the bound tol * (||y|| + 1) and the residual both read
+    # inf: the retraction must refuse V, not report inf <= inf as converged
+    M, x, eta = tangent_pair(pb.lift_qkp(pb.gen_qkp(50, 0.5, 42)), np.random.default_rng(5))
+    done = count_completed_steps(monkeypatch)
+    for kind in sv.RetractionKind:
+        cfg = sv.RetractionConfig(kind=kind, tol=1e-9, maxiter=50)
+        with pytest.raises(ValueError, match="overflows float64"):
+            sv.retract(M, x, scale * eta, cfg)
+    assert done == []
+
+
+def test_retract_never_counts_a_nan_residual_as_met(monkeypatch):
+    # a step whose point has a NaN residual must not end the loop as
+    # converged: the budget runs out instead
+    M, x = coupled_setup()
+    eta = 0.3 * unit_tangent(M, x, seed=42)
+    monkeypatch.setattr(sv, "apm_step", lambda M, R: (R, (np.nan, np.nan, None)))
+    cfg = sv.RetractionConfig(kind=sv.RetractionKind.APM, tol=1e-10, maxiter=3)
+    with pytest.raises(MaxIterExceeded) as exc:
+        sv.retract(M, x, eta, cfg)
+    assert len(exc.value.result.trace) == 4
+    assert not exc.value.result.converged
 
 
 @pytest.mark.parametrize(
