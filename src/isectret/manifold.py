@@ -11,11 +11,13 @@ be shared freely across threads.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .errors import DegenerateRow, SingularGram, SingularSchur, TangentSolveSingular
 
@@ -54,8 +56,42 @@ _DEGENERATE_TOL = 1e-14
 # see schur_solve)
 _SMW_RATIO = 1.5
 
-# the LAPACK routine of every symmetric positive definite solve, looked up once
-(_POSV,) = get_lapack_funcs(("posv",), (np.empty((1, 1)),))
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, scipy/linalg/_flapack (the module
+    scipy.linalg.lapack re-exports), loaded as a module of its own under the
+    private name isectret._flapack. Neither scipy nor scipy.linalg is
+    imported: scipy.linalg's __init__ costs about 0.3 s and 17 MB per
+    process, and the package needs two of its routines. Under its own name
+    the module leaves scipy's import state untouched: a later import of
+    scipy.linalg loads its _flapack as usual.
+
+    Raises ImportError when scipy is not installed, and ImportError naming
+    scipy's version and the directory searched when its _flapack is
+    missing; there is no fallback to scipy.linalg."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("isectret needs scipy, which is not installed")
+    where = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations]
+    found = importlib.machinery.PathFinder.find_spec("_flapack", where)
+    if found is None:
+        from importlib import metadata
+
+        raise ImportError(
+            f"scipy {metadata.version('scipy')} has no compiled LAPACK module "
+            f"_flapack in {os.pathsep.join(where)}"
+        )
+    spec = importlib.util.spec_from_file_location("isectret._flapack", found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the LAPACK routines of every symmetric positive definite solve and every
+# triangular solve with its factor
+_FLAPACK = _load_flapack()
+_POSV = _FLAPACK.dposv
+_TRTRS = _FLAPACK.dtrtrs
 
 
 @dataclass(frozen=True)
@@ -84,11 +120,11 @@ class AffineSystem:
     of the affine rows the kernels use per step: a projection, a slice solve
     or a relaxed NewtonSLRA step is a product with K and no solve. A_B is
     the fancy-indexed copy A[:, binary_cols], kept for the slice and dual
-    solvers; low_rank_factor is U = (L^{-1} A_B)^T, with
-    A_B^T (A A^T)^{-1} A_B = U U^T, reused by the Schur-complement solvers,
-    and low_rank_gram is U U^T itself, built on first use. K, A_B and
-    low_rank_gram are read-only. gram_solve applies (A A^T)^{-1} by
-    _spd_solve on a copy of the Gram; no kernel calls it.
+    solvers; low_rank_factor is U = (L^{-1} A_B)^T, one _tri_solve with
+    that factor, with A_B^T (A A^T)^{-1} A_B = U U^T, reused by the
+    Schur-complement solvers, and low_rank_gram is U U^T itself, built on
+    first use. K, A_B and low_rank_gram are read-only. gram_solve applies
+    (A A^T)^{-1} by _spd_solve on a copy of the Gram; no kernel calls it.
 
     The kernels built on K do not check their input for NaN or inf: a
     non-finite input gives a non-finite output (gram_solve raises
@@ -119,7 +155,7 @@ class AffineSystem:
         self.A_B = A[:, binary_cols]
         self.A_B.setflags(write=False)
         # U = (L^{-1} A_B)^T so that U U^T = A_B^T (A A^T)^{-1} A_B
-        self.low_rank_factor = solve_triangular(L, self.A_B, lower=True).T
+        self.low_rank_factor = _tri_solve(L, self.A_B).T
 
     @functools.cached_property
     def low_rank_gram(self) -> np.ndarray:
@@ -206,11 +242,20 @@ def _check_dims(M: IntersectionManifold, R: np.ndarray, name: str = "point") -> 
 
 def check_point(M: IntersectionManifold, R, name: str) -> np.ndarray:
     """The input gate of every entry point: R as a float array, or
-    ValueError naming it when its shape is not (N, r) or it holds nan or
-    inf. The kernels behind the entry points check nothing."""
+    ValueError naming it when its shape is not (N, r), it holds nan or inf,
+    or its squared norm overflows float64 (entries from about 1e154 up),
+    where every residual and bound would read inf and inf > inf is False.
+    One dot product serves both value tests, since a nan or inf entry also
+    makes the squared norm non-finite. The kernels behind the entry points
+    check nothing."""
     R = _check_dims(M, R, name)
-    if not _all_finite(R):
-        raise ValueError(f"{name} contains nan or inf")
+    # np.vdot, unlike ndarray.dot, reports no overflow warning, so the
+    # ValueError below is the one report; it is also the cheaper call here
+    sq = np.vdot(R, R)
+    if not math.isfinite(sq):
+        if not _all_finite(R):
+            raise ValueError(f"{name} contains nan or inf")
+        raise ValueError(f"{name} overflows float64: its squared norm is inf")
     return R
 
 
@@ -389,7 +434,7 @@ def _spd_solve(S, rhs):
     overwrites S. L is posv's Fortran-ordered array, S's own buffer for a
     C-ordered S: its lower triangle is the Cholesky factor
     (S = tril(L) tril(L)^T) and its strict upper triangle is left over, so
-    solve with it by solve_triangular(L, ..., lower=True). This is the
+    solve with it by _tri_solve, which reads the lower triangle. This is the
     package's one breakdown rule for a symmetric system: posv info > 0
     (S not positive definite), or a factor diagonal or solution that is not
     finite by _all_finite (OpenBLAS's potrf lets a NaN pivot through with
@@ -409,6 +454,19 @@ def _spd_solve(S, rhs):
             f"system not positive definite or not finite (posv info = {info})"
         )
     return x, L
+
+
+def _tri_solve(L, B, trans=0):
+    """L^{-1} B (trans=0) or L^{-T} B (trans=1) for the lower triangle of a
+    Fortran-ordered L, as _spd_solve returns it, by one LAPACK trtrs call:
+    the call scipy.linalg.solve_triangular(L, B, lower=True) makes on such
+    an L, with trans="T" as trans=1, so the same bits. Like the other
+    kernels it checks nothing for NaN or inf; a zero on L's diagonal
+    (trtrs info > 0) raises numpy.linalg.LinAlgError."""
+    x, info = _TRTRS(L, B, lower=1, trans=trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (trtrs info = {info})")
+    return x
 
 
 def _row_kron(C, U):
@@ -523,7 +581,7 @@ def project_slice(
 
 def check_base(M: IntersectionManifold, R: np.ndarray, base_res: float | None = None):
     """The feasibility guard on a base point R: raise ValueError when its
-    combined residual exceeds FEASIBILITY_TOL * (||R||_F + 1).
+    combined residual is not finite or exceeds FEASIBILITY_TOL * (||R||_F + 1).
 
     base_res, R's combined residual when the caller already holds it, skips
     the guard: the caller vouches for R, and nothing is measured or
@@ -532,9 +590,11 @@ def check_base(M: IntersectionManifold, R: np.ndarray, base_res: float | None = 
     may lie above this allowance."""
     if base_res is not None:
         return
-    res = combined_residual(M, R)
-    allow = FEASIBILITY_TOL * (frobenius_norm(R) + 1.0)
-    if res > allow:
+    # an overflowing residual is reported by the ValueError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = combined_residual(M, R)
+        allow = FEASIBILITY_TOL * (frobenius_norm(R) + 1.0)
+    if not (math.isfinite(res) and res <= allow):
         raise ValueError(
             f"base point infeasible: combined residual {res:.3e} exceeds its allowance {allow:.3e}"
         )

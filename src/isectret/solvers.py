@@ -18,7 +18,8 @@ cheap step map from V = x + eta:
    raises SingularGram where it breaks down. gwa_iterate returns the
    Weiszfeld point it solves for;
    gwa_newton_iterate corrects that point by its s x s Schur solve,
-   reusing the same Cholesky factor.
+   reusing the same Cholesky factor in two triangular solves through
+   mf._tri_solve (LAPACK trtrs, from the same compiled module as posv).
    metric_project's loop reads each dual iterate's rows once: it forms
    Y = V' + A^T Theta and its row norms (_gwa_rows) and hands them to the
    next step, so neither is recomputed. Called alone, a step forms them
@@ -58,7 +59,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import manifold as mf
 from .errors import (
@@ -311,9 +311,11 @@ def gwa_newton_iterate(M, Vprime, gamma, Theta, rows=None):
     gwa_iterate. Woodbury reduces the Newton system to an s x s one, which
     scaling by sqrt(v_B) makes symmetric: I - (C C^T) o (U0 U0^T) with
     C = sqrt(v_B) Yhat and U0 = (L^{-1} A_B)^T, solved by mf.schur_solve for
-    gam with right-hand side <(A_B^T (Theta - Theta_w))_i, C_i>. A binary row
-    of Y = V' + A^T Theta that vanishes (row i of V + A^T Theta at its
-    sphere's center) has no weight and raises DegenerateRow. rows is
+    gam with right-hand side <(A_B^T (Theta - Theta_w))_i, C_i>; U0 and the
+    final M0^{-1} = L^{-T} L^{-1} product are the two mf._tri_solve calls
+    with L. A binary row of Y = V' + A^T Theta that vanishes (row i of
+    V + A^T Theta at its sphere's center) has no weight and raises
+    DegenerateRow. rows is
     Theta's (Y, norms) from _gwa_rows when the caller holds them; the step
     then reads Y_B and its norms from them, with the same bits."""
     Y, norms = _gwa_rows(M, Vprime, Theta) if rows is None else rows
@@ -324,13 +326,13 @@ def gwa_newton_iterate(M, Vprime, gamma, Theta, rows=None):
     AB = M.affine.A_B
     # no binary norm is below the floor, so v_B = 1 / nb exactly
     C = np.sqrt(1.0 / nb)[:, None] * (M.binary_block(Y) / nb[:, None])  # sqrt(v_B) Yhat
-    U0 = sla.solve_triangular(L, AB, lower=True).T
+    U0 = mf._tri_solve(L, AB).T
     rhs = np.einsum("ij,ij->i", AB.T @ (Theta - Theta_w), C)
     try:
         gam = mf.schur_solve(np.ones(M.dims.s), C, U0, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSchur(f"newton schur system singular: {exc}") from exc
-    return Theta_w - sla.solve_triangular(L, U0.T @ (gam[:, None] * C), lower=True, trans="T")
+    return Theta_w - mf._tri_solve(L, U0.T @ (gam[:, None] * C), trans=1)
 
 
 def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):

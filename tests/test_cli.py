@@ -553,6 +553,23 @@ class TestProject:
             assert err.startswith("usage error: ") and "nan or inf" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_input_is_usage_error(self, qkp_file, tmp_path, capsys, scale):
+        # finite entries whose squared norm overflows float64: no dual step
+        # may run on a point whose residual reads inf
+        with open(qkp_file) as fh:
+            inst = pb.lift_qkp(pb.parse_qkp(fh.read()))
+        pt_file, V = self.write_point(inst, tmp_path)
+        np.savetxt(pt_file, scale * V)
+        out = tmp_path / "p.txt"
+        for method in ("gwa", "gwa-newton"):
+            argv = ["project", "--instance", qkp_file, "--method", method,
+                    "--input-point", pt_file, "--out", str(out)]
+            assert cli.run(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and "overflows float64" in err
+            assert not out.exists()
+
     def test_wrong_shape_input_is_usage_error(self, qap_file, tmp_path, capsys):
         pt_file = tmp_path / "v.txt"
         np.savetxt(pt_file, np.zeros((2, 2)))

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from test_solvers import (
     aphl_delta_oracle,
     decoupled_manifold,
     on_route,
     spoiled,
     tangent_kkt_oracle,
+    tangent_pair,
 )
 
 from isectret import manifold as mf
@@ -298,6 +301,27 @@ def test_project_tangent_rejects_nonfinite_input(value):
             mf.project_tangent(M, bad_R, bad_v)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_project_tangent_rejects_a_base_whose_norm_overflows(scale):
+    # every entry of x + scale * eta is finite, but its squared norm
+    # overflows, so the base guard's residual and allowance would both read
+    # inf; the input gate must refuse the point instead
+    M, x, eta = tangent_pair(pb.lift_qkp(pb.gen_qkp(50, 0.5, 42)), np.random.default_rng(5))
+    with pytest.raises(ValueError, match="R overflows float64"):
+        mf.project_tangent(M, x + scale * eta, eta)
+
+
+def test_check_base_rejects_a_residual_that_is_not_finite():
+    # entries near 1e100 keep ||R||^2 finite, but the squared sphere
+    # violations overflow: the guard must raise, not compare inf
+    M = decoupled_manifold(seed=33)
+    R = feasible_point(M, seed=6)
+    R[M.binary_rows[0]] = 1e100
+    assert math.isfinite(mf.frobenius_norm(R))
+    with pytest.raises(ValueError, match="combined residual inf"):
+        mf.check_base(M, R)
+
+
 # ---------------------------------------------------------------------------
 # linearized_project
 
@@ -428,6 +452,32 @@ def test_gram_solve_matches_cho_solve_bit_for_bit():
         for X in probes:
             for Y in (A @ X, mf.affine_residual(M, X), A @ X[:, :1]):
                 assert M.affine.gram_solve(Y).tobytes() == cho_solve(factor, Y).tobytes()
+
+
+def test_tri_solve_matches_solve_triangular_bit_for_bit():
+    # with posv's Fortran-ordered factor of each Gram, the one trtrs call
+    # solve_triangular(L, B, lower=True) makes, for both transposes
+    for M, probes in parity_cases():
+        A = M.affine.A
+        _, L = mf._spd_solve(A @ A.T, A)
+        for B in (M.affine.A_B, A, *(A @ X for X in probes)):
+            for trans, flag in ((0, "N"), (1, "T")):
+                want = solve_triangular(L, B, lower=True, trans=flag)
+                assert mf._tri_solve(L, B, trans).tobytes() == want.tobytes(), (repr(M), flag)
+
+
+def test_tri_solve_raises_on_a_zero_pivot():
+    L = np.asfortranarray(np.array([[1.0, 0.0], [2.0, 0.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="trtrs info = 2"):
+        mf._tri_solve(L, np.ones((2, 1)))
+
+
+def test_low_rank_factor_matches_the_cho_factor_oracle_bit_for_bit():
+    for M, _ in parity_cases():
+        A = M.affine.A
+        factor = cho_factor(A @ A.T, lower=True)[0]
+        want = solve_triangular(factor, A[:, M.binary_rows], lower=True).T
+        assert M.affine.low_rank_factor.tobytes() == want.tobytes(), repr(M)
 
 
 def test_residual_norms_match_the_two_residuals_bit_for_bit():

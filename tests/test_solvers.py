@@ -963,6 +963,40 @@ def test_gwa_dual_step_and_objective_match_the_scipy_oracle_bytes():
             assert g == gwa_objective_oracle(M, Vp, gamma, Theta), f"{label}, step {step}"
 
 
+def gwa_newton_iterate_oracle(M, Vprime, gamma, Theta):
+    """The dual Newton step with numpy's row norms and scipy's wrappers: the
+    weighted Gram factored by sla.cho_factor as in gwa_iterate_oracle, the
+    Weiszfeld point by sla.cho_solve, and both triangular solves with the
+    factor by sla.solve_triangular. The s x s Schur system goes through
+    mf.schur_solve, whose routes have their own oracles."""
+    A = M.affine.A
+    Y = Vprime + A.T @ Theta
+    nb = np.linalg.norm(Y[M.binary_rows], axis=1)
+    v = np.full(M.dims.N, 2.0)
+    v[M.binary_rows] = 1.0 / nb
+    Gv = A @ (v[:, None] * A.T)
+    rhs = A @ (v[:, None] * Vprime)
+    rhs[:, 0] += gamma
+    L = sla.cho_factor(Gv.T, lower=True)[0]
+    Theta_w = -sla.cho_solve((L, True), rhs)
+    AB = A[:, M.binary_rows]
+    C = np.sqrt(1.0 / nb)[:, None] * (Y[M.binary_rows] / nb[:, None])
+    U0 = sla.solve_triangular(L, AB, lower=True).T
+    gam = mf.schur_solve(
+        np.ones(M.dims.s), C, U0, np.einsum("ij,ij->i", AB.T @ (Theta - Theta_w), C)
+    )
+    return Theta_w - sla.solve_triangular(L, U0.T @ (gam[:, None] * C), lower=True, trans="T")
+
+
+def test_gwa_newton_step_matches_the_solve_triangular_oracle_bytes():
+    for label, M, Vp, gamma, Theta in _lift_dual_cases():
+        for step in range(60):
+            got = sv.gwa_newton_iterate(M, Vp, gamma, Theta)
+            want = gwa_newton_iterate_oracle(M, Vp, gamma, Theta)
+            assert got.tobytes() == want.tobytes(), f"{label}, step {step}"
+            Theta = got
+
+
 def metric_project_loop_oracle(M, V, method, tol=1e-9, maxiter=500):
     """metric_project's dual loop with every step through the public maps
     and nothing held between them: step(M, V', gamma, Theta), then
@@ -1402,8 +1436,12 @@ def test_retract_never_counts_a_nan_residual_as_met(monkeypatch):
         (lambda V: spoiled(V, np.inf), "nan or inf"),
         (lambda V: V[:, 0], "shape"),
         (lambda V: V[:, :1], "shape"),
+        # finite entries whose squares overflow: the dual loop would stop on
+        # an inf input residual and return a point just as far off
+        (lambda V: 1e160 * V, "overflows float64"),
+        (lambda V: 1e300 * V, "overflows float64"),
     ],
-    ids=["nan", "inf", "1-d", "one-column"],
+    ids=["nan", "inf", "1-d", "one-column", "overflow-1e160", "overflow-1e300"],
 )
 def test_metric_project_rejects_nonfinite_input_before_any_step(monkeypatch, spoil, message):
     # a misshapen V is refused at the same gate as a non-finite one
