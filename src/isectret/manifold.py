@@ -204,7 +204,8 @@ class IntersectionManifold:
         # rows broadcast against the first column in place of strided
         # column updates, with the same bits: x - 0.0 and x + (-0.0) are x
         # for every x, signed zeros included. e1 is the unit row, centre the
-        # spheres' centre e1/2, rhs the affine right-hand side b e1^T
+        # spheres' centre e1/2, rhs the affine right-hand side b e1^T, and
+        # ones the vector that sums each row in _row_sq
         r = self.dims.r
         self.e1 = np.zeros(r)
         self.e1[0] = 1.0
@@ -212,7 +213,8 @@ class IntersectionManifold:
         self.centre[0] = 0.5
         self.rhs = np.zeros((self.dims.m_rows, r))
         self.rhs[:, 0] = self.affine.b_col
-        for a in (self.e1, self.centre, self.rhs):
+        self.ones = np.ones(r)
+        for a in (self.e1, self.centre, self.rhs, self.ones):
             a.setflags(write=False)
 
     def binary_block(self, R: np.ndarray) -> np.ndarray:
@@ -284,8 +286,17 @@ def frobenius_norm(x: np.ndarray):
     return math.sqrt(x.dot(x))
 
 
-def _sphere_violation(RB: np.ndarray) -> np.ndarray:
-    h = np.einsum("ij,ij->i", RB, RB)
+def _row_sq(M: IntersectionManifold, X: np.ndarray) -> np.ndarray:
+    """The squared row norms of X (s x r), as one BLAS matrix-vector
+    product (X * X) 1 with the manifold's cached ones vector: within a few
+    ulps of np.einsum("ij,ij->i", X, X), at about half its cost per call on
+    the lifts' shapes. Every squared row norm of the row and sweep kernels
+    comes from here."""
+    return (X * X).dot(M.ones)
+
+
+def _sphere_violation(M: IntersectionManifold, RB: np.ndarray) -> np.ndarray:
+    h = _row_sq(M, RB)
     h -= RB[:, 0]
     return h
 
@@ -293,11 +304,13 @@ def _sphere_violation(RB: np.ndarray) -> np.ndarray:
 def binary_residual(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     """Per-row violations h_i = ||R_i||^2 - R_{i,1} over the binary rows."""
     R = _check_dims(M, R)
-    return _sphere_violation(M.binary_block(R))
+    return _sphere_violation(M, M.binary_block(R))
 
 
 def _affine_gap(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
-    E = M.affine.A @ R
+    # ndarray.dot, not @: the same BLAS product with the same bits at every
+    # shape the lifts give (tests pin it), at half the call overhead
+    E = M.affine.A.dot(R)
     E -= M.rhs
     return E
 
@@ -307,17 +320,20 @@ def affine_residual(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
 
 
 def _residual_pass(M: IntersectionManifold, R: np.ndarray):
-    h = _sphere_violation(M.binary_block(R))
-    nh = frobenius_norm(h)
-    return math.sqrt(frobenius_norm(_affine_gap(M, R)) ** 2 + nh**2), nh, h
+    h = _sphere_violation(M, M.binary_block(R))
+    E = _affine_gap(M, R).ravel()
+    h2 = h.dot(h)
+    return math.sqrt(E.dot(E) + h2), math.sqrt(h2), h
 
 
 def residual_norms(M: IntersectionManifold, R: np.ndarray) -> tuple[float, float, np.ndarray]:
     """(combined, ||h||, h) from one affine residual E = A R - b e1^T and one
-    binary_residual h: combined = sqrt(||E||^2 + ||h||^2) is
-    combined_residual, ||h|| is what the retraction traces record, and h is
-    what the next iAP sweep linearizes with. The retraction loop takes all
-    three from this one pass per step (sweep computes it for its result)."""
+    binary_residual h, whose squared row norms come from _row_sq's one
+    product: combined = sqrt(||E||^2 + ||h||^2), with one square root of the
+    two squared norms, is combined_residual, ||h|| is what the retraction
+    traces record, and h is what the next iAP sweep linearizes with. The
+    retraction loop takes all three from this one pass per step (sweep
+    computes it for its result)."""
     return _residual_pass(M, _check_dims(M, R))
 
 
@@ -331,7 +347,7 @@ def project_affine(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
     R - A^T (A A^T)^{-1} (A R - b e1^T), applied as R - K (A R - b e1^T)
     with the cached K = A^T (A A^T)^{-1}."""
     R = _check_dims(M, R)
-    return R - M.affine.K @ _affine_gap(M, R)
+    return R - M.affine.K.dot(_affine_gap(M, R))
 
 
 def _normals(M: IntersectionManifold, RB: np.ndarray) -> np.ndarray:
@@ -354,30 +370,36 @@ def _least(x: np.ndarray) -> float:
 
 
 def _sphere_rows(M: IntersectionManifold, RB: np.ndarray) -> np.ndarray:
-    """The binary rows RB projected onto their spheres, centre + C_i / (2 ||C_i||)."""
-    C = _normals(M, RB)
-    # np.linalg.norm(C, axis=1, keepdims=True), computed as numpy computes it
-    nrm = np.sqrt(np.add.reduce(C * C, axis=1, keepdims=True))
-    if _least(nrm) < _DEGENERATE_TOL:
-        raise _degenerate_row(M, nrm)
-    # in place on the temporary C: 0.5 * (C / nrm) + centre, the same bits
-    C /= nrm
-    C *= 0.5
-    C += M.centre
-    return C
+    """The binary rows RB projected onto their spheres in closed form on
+    D = RB - centre: centre + D_i (0.5 / ||D_i||), each row scaled by one
+    entry of an s-vector. ||D||^2 is _row_sq(D). The normal c_i = 2 D_i
+    (exactly: doubling commutes with rounding), so a row with
+    ||c_i|| = 2 ||D_i|| below _DEGENERATE_TOL raises DegenerateRow."""
+    D = RB - M.centre
+    nrm = np.sqrt(_row_sq(M, D))
+    if 2.0 * _least(nrm) < _DEGENERATE_TOL:
+        raise _degenerate_row(M, 2.0 * nrm)
+    D *= (0.5 / nrm)[:, None]
+    D += M.centre
+    return D
 
 
 def _linearized_rows(M: IntersectionManifold, RB: np.ndarray, h=None) -> np.ndarray:
     """The binary rows RB moved by -(h_i/||c_i||^2) c_i, h their sphere
-    violations (computed here unless the caller holds them)."""
-    C = _normals(M, RB)
-    nrm2 = np.einsum("ij,ij->i", C, C)
-    if math.sqrt(_least(nrm2)) < _DEGENERATE_TOL:
-        raise _degenerate_row(M, np.sqrt(nrm2))
+    violations (computed here unless the caller holds them), in closed form
+    on D = RB - centre: c_i = 2 D_i and ||c_i||^2 = 4 ||D_i||^2, so the move
+    is -D_i h_i / (2 ||D_i||^2), with ||D||^2 from _row_sq(D). It is not
+    taken as h + 1/4, which loses all accuracy near a sphere's centre, where
+    the degenerate test (||c_i|| = 2 ||D_i|| below _DEGENERATE_TOL raises
+    DegenerateRow) must still resolve 1e-14."""
+    D = RB - M.centre
+    nrm2 = _row_sq(M, D)
+    if 2.0 * math.sqrt(_least(nrm2)) < _DEGENERATE_TOL:
+        raise _degenerate_row(M, 2.0 * np.sqrt(nrm2))
     if h is None:
-        h = _sphere_violation(RB)
-    C *= (h / nrm2)[:, None]
-    return RB - C
+        h = _sphere_violation(M, RB)
+    D *= (h / (2.0 * nrm2))[:, None]
+    return RB - D
 
 
 def row_normals(M: IntersectionManifold, R: np.ndarray) -> np.ndarray:
@@ -412,6 +434,10 @@ def sweep(M: IntersectionManifold, R: np.ndarray, linearized=False, h=None):
     P - K (A P - b e1^T), and residual_norms of P follows. Returns
     (P, residual_norms(M, P)).
 
+    Both row steps are the closed forms of _sphere_rows and
+    _linearized_rows on D = RB - centre, scaled per row, and every squared
+    row norm, of D and of P's binary rows, is one _row_sq product.
+
     h is R's sphere violations (residual_norms(M, R)[2]) when the caller
     holds them, as the retraction loop does; the linearized sweep reuses
     them. A binary row whose normal is shorter than _DEGENERATE_TOL raises
@@ -424,7 +450,7 @@ def sweep(M: IntersectionManifold, R: np.ndarray, linearized=False, h=None):
     RB = M.binary_block(R)
     P = R.copy()
     P[M.binary_index] = _linearized_rows(M, RB, h) if linearized else _sphere_rows(M, RB)
-    P -= M.affine.K @ _affine_gap(M, P)
+    P -= M.affine.K.dot(_affine_gap(M, P))
     return P, _residual_pass(M, P)
 
 

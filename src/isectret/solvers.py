@@ -131,8 +131,9 @@ class RetractionConfig:
     def __post_init__(self):
         if not isinstance(self.kind, RetractionKind):
             raise ValueError("kind must be a RetractionKind")
-        if not self.tol >= 1e-15:
-            raise ValueError("tol must be >= 1e-15")
+        # an infinite tol would accept any point, unretracted
+        if not (self.tol >= 1e-15 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be finite and >= 1e-15, got {self.tol!r}")
         object.__setattr__(self, "maxiter", mf.check_count("maxiter", self.maxiter))
 
 
@@ -352,8 +353,10 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
     """
     if method not in ("gwa", "gwa-newton"):
         raise ValueError("method must be 'gwa' or 'gwa-newton'")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    # an infinite tol would stop at the first dual step and disarm the
+    # stall guard, whose bound it scales
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     maxiter = mf.check_count("maxiter", maxiter)
     V = mf.check_point(M, V, "V")
     A = M.affine.A
@@ -497,6 +500,8 @@ def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult
             f"x + eta overflows float64: norm {size:.3e}, combined residual {res[0]:.3e}"
         )
     kind = cfg.kind
+    # the tag every step records, read off the Enum once per retraction
+    tag = kind.value
     # the step maps and tapr are looked up per call: they are module globals
     # that may be rebound
     if kind is RetractionKind.TAPR:
@@ -508,7 +513,7 @@ def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult
             # dual tolerance sits below the primal target so the recovered
             # point clears the residual bound, but not below roundoff
             point = metric_project(M, y, method=method, tol=max(cfg.tol * 1e-2, _DUAL_TOL_FLOOR))
-            return point, mf.residual_norms(M, point), kind.value
+            return point, mf.residual_norms(M, point), tag
 
         try:
             return _iterate(M, V, res, replace(cfg, maxiter=1), project)
@@ -517,16 +522,16 @@ def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult
                 raise  # metric_project's own: a dual loop that did not settle or stalled
             # the dual loop settled, on a point that misses the retraction's bound
             raise MaxIterExceeded(
-                f"retraction ({kind.value}): the {method} dual loop settled on a point with "
+                f"retraction ({tag}): the {method} dual loop settled on a point with "
                 f"residual {err.result.trace.combined[-1]:.3e} against its bound "
                 f"{_bound(cfg, err.result.point):.3e}",
                 result=err.result,
             ) from None
 
     if kind is RetractionKind.APM:
-        return _iterate(M, V, res, cfg, lambda y, res: (*apm_step(M, y), kind.value))
+        return _iterate(M, V, res, cfg, lambda y, res: (*apm_step(M, y), tag))
     if kind is RetractionKind.IAP:
-        return _iterate(M, V, res, cfg, lambda y, res: (*iap_step(M, y, res[2]), kind.value))
+        return _iterate(M, V, res, cfg, lambda y, res: (*iap_step(M, y, res[2]), tag))
 
     step = {
         RetractionKind.NewtonSLRA: lambda R: newton_slra_step(M, R),
@@ -535,7 +540,6 @@ def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult
     }[kind]
 
     def advance(y, res):
-        tag = kind.value
         try:
             y_new = step(y)
             res_new = mf.residual_norms(M, y_new)
@@ -545,7 +549,7 @@ def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult
         if res_new[0] > res[0]:
             # the local guarantees failed; take one safe sweep instead
             y_new, res_new = apm_step(M, y)
-            tag = "apm-fallback"
+            return y_new, res_new, "apm-fallback"
         return y_new, res_new, tag
 
     def start(y, res):

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from test_solvers import (
     aphl_delta_oracle,
+    coupled_setup,
     decoupled_manifold,
     on_route,
     spoiled,
@@ -481,16 +482,36 @@ def test_low_rank_factor_matches_the_cho_factor_oracle_bit_for_bit():
 
 
 def test_residual_norms_match_the_two_residuals_bit_for_bit():
+    # h's squared row norms as one product with a ones vector, and combined
+    # as one square root of the two squared norms
     for M, probes in parity_cases():
         for X in probes:
-            E = mf.affine_residual(M, X)
+            E = mf.affine_residual(M, X).ravel()
             XB = X[M.binary_rows]
-            h = np.einsum("ij,ij->i", XB, XB) - XB[:, 0]
-            combined = float(np.sqrt(np.linalg.norm(E) ** 2 + np.linalg.norm(h) ** 2))
+            h = (XB * XB).dot(np.ones(M.dims.r)) - XB[:, 0]
+            combined = math.sqrt(np.dot(E, E) + np.dot(h, h))
             got_combined, got_nh, got_h = mf.residual_norms(M, X)
             assert (got_combined, got_nh) == (combined, float(np.linalg.norm(h)))
             assert got_h.tobytes() == h.tobytes()
             assert mf.combined_residual(M, X) == combined
+
+
+def test_affine_products_take_the_same_bits_by_dot_as_by_matmul():
+    # the kernels take A R and K E by ndarray.dot, at half the call cost of
+    # @; numpy may route a one-column product through gemv, so a rank-1 lift
+    # and Fortran-ordered points are checked too
+    rank_one = pb.lift_qkp(pb.gen_qkp(12, 0.5, 42), r=1)
+    probe = pb.feasible_init(rank_one, 1) + np.random.default_rng(3).standard_normal((14, 1))
+    cases = [*parity_cases(), (rank_one.manifold, [probe])]
+    for M, probes in cases:
+        A, K = M.affine.A, M.affine.K
+        for X in probes:
+            for Y in (X, np.asfortranarray(X), X[:, :1]):
+                assert A.dot(Y).tobytes() == (A @ Y).tobytes(), repr(M)
+            E = mf.affine_residual(M, X)
+            assert E.tobytes() == (A @ X - M.rhs).tobytes()
+            for F in (E, np.asfortranarray(E), E[:, :1]):
+                assert K.dot(F).tobytes() == (K @ F).tobytes(), repr(M)
 
 
 def test_cached_binary_columns_are_the_fancy_indexed_copy():
@@ -505,18 +526,23 @@ def test_cached_binary_columns_are_the_fancy_indexed_copy():
 
 def fancy_row_kernels(M, R):
     """row_normals, binary_residual, project_binary and linearized_project
-    written out with the index array binary_rows."""
+    written out with the index array binary_rows, squared row norms as one
+    product with a ones vector, and the sphere rows in closed form on
+    D = R_B - e1/2: D_i (0.5 / ||D_i||) + e1/2."""
     B = M.binary_rows
     RB = R[B]
+    ones = np.ones(RB.shape[1])
     C = 2.0 * RB
     C[:, 0] -= 1.0
-    h = np.einsum("ij,ij->i", RB, RB) - RB[:, 0]
-    P = R.copy()
-    rows = 0.5 * (C / np.linalg.norm(C, axis=1)[:, None])
+    h = (RB * RB).dot(ones) - RB[:, 0]
+    D = RB.copy()
+    D[:, 0] -= 0.5
+    rows = D * (0.5 / np.sqrt((D * D).dot(ones)))[:, None]
     rows[:, 0] += 0.5
+    P = R.copy()
     P[B] = rows
     L = R.copy()
-    L[B] -= (h / np.einsum("ij,ij->i", C, C))[:, None] * C
+    L[B] -= (h / (C * C).dot(ones))[:, None] * C
     return C, h, P, L
 
 
@@ -541,6 +567,75 @@ def test_row_kernels_match_fancy_indexing_bit_for_bit(rows, index):
         assert mf.binary_residual(M, X).tobytes() == h.tobytes()
         assert mf.project_binary(M, X).tobytes() == P.tobytes()
         assert mf.linearized_project(M, X).tobytes() == L.tobytes()
+
+
+def einsum_row_kernels(M, R):
+    """binary_residual's h, project_binary's and linearized_project's binary
+    rows and residual_norms' (combined, ||h||), with the reductions the row
+    kernels used before _row_sq: np.einsum and np.linalg.norm(axis=1), and
+    combined as sqrt(||E||^2 + ||h||^2) of the two norms."""
+    RB = R[M.binary_rows]
+    C = 2.0 * RB
+    C[:, 0] -= 1.0
+    h = np.einsum("ij,ij->i", RB, RB) - RB[:, 0]
+    P = 0.5 * (C / np.linalg.norm(C, axis=1)[:, None])
+    P[:, 0] += 0.5
+    L = RB - (h / np.einsum("ij,ij->i", C, C))[:, None] * C
+    nh = float(np.linalg.norm(h))
+    combined = math.sqrt(np.linalg.norm(mf.affine_residual(M, R)) ** 2 + nh**2)
+    return h, P, L, nh, combined
+
+
+def test_row_kernels_stay_within_four_ulps_of_the_einsum_formulas():
+    # per binary row, in units of eps times the row's own scale: h_i against
+    # ||R_i||^2 + |R_i1|, a sphere row (norm <= 1) against 1, a linearized
+    # row against ||R_i|| + (||R_i||^2 + |R_i1|) / ||c_i||; ||h|| and the
+    # combined residual against the norm of h's scales plus their own value.
+    # Measured: at most 1.9 ulps (h), 0.75 (sphere rows), 0.58 (linearized)
+    bound = 4.0 * np.finfo(float).eps
+    rng = np.random.default_rng(73)
+    for M, probes in parity_cases():
+        shape = (M.dims.N, M.dims.r)
+        draws = [10.0**k * rng.standard_normal(shape) for k in (-3, 0, 3)]
+        for R in probes + draws:
+            h, P, L, nh, combined = einsum_row_kernels(M, R)
+            RB = R[M.binary_rows]
+            size = np.linalg.norm(RB, axis=1)
+            scale = size**2 + np.abs(RB[:, 0])
+            normal = np.linalg.norm(mf.row_normals(M, R), axis=1)
+            got_P = mf.project_binary(M, R)[M.binary_rows]
+            got_L = mf.linearized_project(M, R)[M.binary_rows]
+            assert np.all(np.abs(mf.binary_residual(M, R) - h) <= bound * scale)
+            assert np.all(np.abs(got_P - P) <= bound)
+            assert np.all(np.abs(got_L - L) <= bound * (size + scale / normal)[:, None])
+            got_combined, got_nh, got_h = mf.residual_norms(M, R)
+            assert np.all(np.abs(got_h - h) <= bound * scale)
+            spread = bound * np.linalg.norm(scale)
+            assert abs(got_nh - nh) <= spread + bound * nh
+            assert abs(got_combined - combined) <= spread + bound * combined
+
+
+@pytest.mark.parametrize("delta, raises", [(0.4e-14, True), (0.6e-14, False)])
+def test_degenerate_test_reads_the_normal_of_norm_two_delta(delta, raises):
+    # binary row 1 at (0.5, delta): its normal c = (0, 2 delta) exactly, of
+    # norm 0.8e-14 (below _DEGENERATE_TOL = 1e-14, so DegenerateRow) or
+    # 1.2e-14 (above it, so a finite step), on every row kernel and sweep
+    M, x = coupled_setup()
+    R = x.copy()
+    R[1] = [0.5, delta]
+    assert np.array_equal(mf.row_normals(M, R)[1], [0.0, 2.0 * delta])
+    h = mf.residual_norms(M, R)[2]
+    calls = [lambda: mf.project_binary(M, R), lambda: mf.linearized_project(M, R)]
+    for linearized in (False, True):
+        for given in (None, h):
+            calls.append(lambda lin=linearized, g=given: mf.sweep(M, R, lin, g)[0])
+    for call in calls:
+        if raises:
+            with pytest.raises(DegenerateRow) as exc:
+                call()
+            assert exc.value.row == 1
+        else:
+            assert np.all(np.isfinite(call()))
 
 
 # ---------------------------------------------------------------------------

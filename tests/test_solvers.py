@@ -343,6 +343,25 @@ def test_retraction_config_validation():
     assert sv.RetractionConfig(kind=sv.RetractionKind.APM, maxiter=3.0).maxiter == 3
 
 
+def test_an_infinite_tolerance_is_rejected():
+    # any residual meets an infinite bound: retract returned x + eta as it
+    # was (residual 11.1) with converged=True after 0 iterations, and the
+    # gwa-newton dual loop stopped at once on a point with residual 54.1,
+    # which its stall guard, scaled by tol, let through
+    prob = pb.lift_qkp(pb.gen_qkp(10, 0.5, 3))
+    M = prob.manifold
+    x = pb.feasible_init(prob, M.dims.r)
+    xi = mf.project_tangent(M, x, np.random.default_rng(0).standard_normal(x.shape)).xi
+    eta = 5.0 * xi / np.linalg.norm(xi)
+    assert mf.combined_residual(M, x + eta) == pytest.approx(11.14, abs=0.01)
+    for kind in sv.RetractionKind:
+        with pytest.raises(ValueError, match="tol must be finite"):
+            sv.RetractionConfig(kind=kind, tol=math.inf)
+    for method in ("gwa", "gwa-newton"):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            sv.metric_project(M, x + eta, method=method, tol=math.inf)
+
+
 # ---------------------------------------------------------------------------
 # apm_step / iap_step
 
@@ -427,10 +446,45 @@ def potrs_sweep(linearized):
     return step
 
 
+def einsum_sweep(linearized):
+    """apm_step (iap_step when linearized) written with the row formulas
+    the fused kernel used before its closed form: the normals
+    C = 2 R_B - e1, squared row norms by np.einsum and np.linalg.norm(axis=1),
+    the exact row step 0.5 C_i / ||C_i|| + e1/2, the linearized one
+    R_i - (h_i / ||C_i||^2) C_i, the affine step through K by @, and the
+    combined residual as sqrt(||E||^2 + ||h||^2) of the two norms."""
+
+    def violation(XB):
+        return np.einsum("ij,ij->i", XB, XB) - XB[:, 0]
+
+    def step(M, R, h=None):
+        B = M.binary_rows
+        RB = R[B]
+        C = 2.0 * RB
+        C[:, 0] -= 1.0
+        P = R.copy()
+        if linearized:
+            h = violation(RB) if h is None else h
+            P[B] = RB - (h / np.einsum("ij,ij->i", C, C))[:, None] * C
+        else:
+            P[B] = 0.5 * (C / np.linalg.norm(C, axis=1)[:, None])
+            P[B, 0] += 0.5
+        P -= M.affine.K @ (M.affine.A @ P - M.rhs)
+        h_P = violation(P[B])
+        nh = float(np.linalg.norm(h_P))
+        E = M.affine.A @ P - M.rhs
+        return P, (math.sqrt(np.linalg.norm(E) ** 2 + nh**2), nh, h_P)
+
+    return step
+
+
 def linear_rate_pairs():
     """The QKP n=50 lift and a seeded QAP p=8 lift, each with a point x one
     NewtonSLRA retraction off its vertex and the step 0.3 eta along a unit
-    tangent eta at x: the benchmark's retract-linear inputs, drawn here."""
+    tangent eta at x, then the retract-linear benchmark's own QKP n=50 pair
+    (its default seed 1, which draws from SeedSequence([1, 1])). Yields
+    (M, x, step, sweeps): sweeps, when not None, is the pinned number of
+    APM and iAP sweeps to relative tol 1e-6."""
     rng = np.random.default_rng(1)
     W = np.triu(rng.integers(0, 10, size=(8, 8)), 1)
     D = np.triu(rng.integers(1, 10, size=(8, 8)), 1)
@@ -442,28 +496,36 @@ def linear_rate_pairs():
         xi = mf.project_tangent(M, base, rng.standard_normal(base.shape)).xi
         x = sv.retract(M, base, 0.5 * xi / np.linalg.norm(xi), polish).point
         eta = mf.project_tangent(M, x, rng.standard_normal(x.shape)).xi
-        yield M, x, 0.3 * eta / np.linalg.norm(eta)
+        yield M, x, 0.3 * eta / np.linalg.norm(eta), None
+    bench = np.random.default_rng(np.random.SeedSequence([1, 1]))
+    M, x, eta = tangent_pair(pb.lift_qkp(pb.gen_qkp(50, 0.5, 42)), bench)
+    yield M, x, 0.3 * eta, 1095
 
 
 @pytest.mark.parametrize("kind", ["apm", "iap", "tapr"])
 def test_fused_sweep_matches_the_potrs_formulas(monkeypatch, kind):
-    # K = A^T (A A^T)^{-1} in place of the Gram solve changes the last bits
-    # of each sweep, and nothing else: the same phases and step counts, the
-    # points within 1e-12 and the traced residuals within 1e-9 (relative)
+    # K = A^T (A A^T)^{-1} in place of the Gram solve, and the closed-form
+    # rows with one squared-row-norm product in place of the einsum and
+    # norm reductions, change the last bits of each sweep, and nothing else:
+    # against either oracle, the same phases and step counts, the points
+    # within 1e-12 and the traced residuals within 1e-9 (relative)
     cfg = sv.RetractionConfig(kind=sv.RetractionKind(kind), tol=1e-6, maxiter=5000)
-    for M, x, step in linear_rate_pairs():
+    for M, x, step, sweeps in linear_rate_pairs():
         fused = sv.retract(M, x, step, cfg)
-        with monkeypatch.context() as patch:
-            patch.setattr(sv, "apm_step", potrs_sweep(False))
-            patch.setattr(sv, "iap_step", potrs_sweep(True))
-            oracle = sv.retract(M, x, step, cfg)
-        assert fused.trace.phases == oracle.trace.phases
-        assert len(fused.trace) > 2
-        gap = np.linalg.norm(fused.point - oracle.point)
-        assert gap <= 1e-12 * np.linalg.norm(oracle.point)
-        for got, want in ((fused.trace.combined, oracle.trace.combined),
-                          (fused.trace.binary, oracle.trace.binary)):
-            assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+        if sweeps is not None and kind != "tapr":
+            assert len(fused.trace) - 1 == sweeps
+        for oracle_sweep in (potrs_sweep, einsum_sweep):
+            with monkeypatch.context() as patch:
+                patch.setattr(sv, "apm_step", oracle_sweep(False))
+                patch.setattr(sv, "iap_step", oracle_sweep(True))
+                oracle = sv.retract(M, x, step, cfg)
+            assert fused.trace.phases == oracle.trace.phases
+            assert len(fused.trace) > 2
+            gap = np.linalg.norm(fused.point - oracle.point)
+            assert gap <= 1e-12 * np.linalg.norm(oracle.point)
+            for got, want in ((fused.trace.combined, oracle.trace.combined),
+                              (fused.trace.binary, oracle.trace.binary)):
+                assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_fused_sweep_returns_the_residual_of_its_point():
@@ -1456,8 +1518,8 @@ def test_metric_project_rejects_nonfinite_input_before_any_step(monkeypatch, spo
 
 @pytest.mark.parametrize(
     "bad",
-    [{"tol": np.nan}, {"maxiter": 2.5}, {"maxiter": np.inf}],
-    ids=["tol-nan", "maxiter-2.5", "maxiter-inf"],
+    [{"tol": np.nan}, {"tol": np.inf}, {"maxiter": 2.5}, {"maxiter": np.inf}],
+    ids=["tol-nan", "tol-inf", "maxiter-2.5", "maxiter-inf"],
 )
 def test_metric_project_rejects_a_bad_tol_or_maxiter_before_any_step(monkeypatch, bad):
     M, x = coupled_setup()
