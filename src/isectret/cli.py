@@ -215,8 +215,8 @@ def _cmd_verify_order(args) -> int:
 
 def _check_descent_flags(args) -> None:
     """The numeric flags solve and bench share, checked before any loading."""
-    if not args.tol > 0.0:
-        raise UsageError(f"--tol must be positive, got {args.tol}")
+    if not (args.tol > 0.0 and math.isfinite(args.tol)):
+        raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     if args.max_outer < 1:
         raise UsageError(f"--max-outer must be at least 1, got {args.max_outer}")
     if not math.isfinite(args.move_start):

@@ -30,6 +30,7 @@ Practical notes for callers:
   outer iteration attached.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -47,6 +48,7 @@ __all__ = [
     "bb_step",
     "gradient",
     "objective",
+    "retract_tol",
     "solve",
 ]
 
@@ -69,8 +71,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if not isinstance(self.kind, sv.RetractionKind):
             raise ValueError("kind must be a RetractionKind")
-        if not self.grad_tol > 0.0:
-            raise ValueError("grad_tol must be positive")
+        # an infinite target would stop the descent before its first step
+        if not (self.grad_tol > 0.0 and math.isfinite(self.grad_tol)):
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
         object.__setattr__(self, "max_outer", mf.check_count("max_outer", self.max_outer))
 
 
@@ -112,6 +115,11 @@ def gradient(inst: pb.ProblemInstance, R: np.ndarray) -> np.ndarray:
     G = 2.0 * (inst.Qlift @ R)
     G[:, 0] += 2.0 * inst.clift
     return G
+
+
+def retract_tol(grad_norm: float, i: int) -> float:
+    """Inexactness schedule for the retraction subproblem at outer step i."""
+    return max(min(grad_norm / 100.0, 1.0 / i**3), 1e-9)
 
 
 def bb_step(s_prev, y_prev):
@@ -195,7 +203,7 @@ def solve(inst: pb.ProblemInstance, cfg: OptimizerConfig, R0=None) -> SolveRepor
         if g <= cfg.grad_tol:
             break
         t = _FIRST_STEP_COEFF / (g + 1.0) if i == 1 else bb_step(s_prev, y_prev)
-        tol_i = sv.retract_tol(g, i)
+        tol_i = retract_tol(g, i)
         ret_cfg = sv.RetractionConfig(kind=cfg.kind, tol=tol_i)
         window_max = max(rec.objective for rec in log[-_NONMONOTONE_WINDOW:])
         inner = 0

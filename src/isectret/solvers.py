@@ -86,7 +86,6 @@ __all__ = [
     "gwa_newton_iterate",
     "metric_project",
     "retract",
-    "retract_tol",
 ]
 
 # weight floor for the dual iteration; keeps A Diag(v) A^T bounded
@@ -161,11 +160,6 @@ class RetractionResult:
     point: np.ndarray
     converged: bool
     trace: IterTrace
-
-
-def retract_tol(grad_norm: float, i: int) -> float:
-    """Inexactness schedule for the retraction subproblem at outer step i."""
-    return max(min(grad_norm / 100.0, 1.0 / i**3), 1e-9)
 
 
 # ---------------------------------------------------------------------------

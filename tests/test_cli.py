@@ -186,6 +186,8 @@ class TestExitCodes:
             ("bench", ["--move-start", "nan"]),
             ("bench", ["--repeats", "0"]),
             ("solve", ["--kind", "apm,iap"]),
+            ("solve", ["--tol", "inf"]),
+            ("bench", ["--tol", "inf"]),
         ],
     )
     def test_bad_descent_flag_is_usage_error(self, command, flags, qap_file, tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""The import boundary of the LAPACK kernels.
+"""The import boundaries of the package.
 
-isectret takes posv and trtrs from scipy's compiled LAPACK module
+The package root imports nothing: every public name is read from its
+submodule. isectret takes posv and trtrs from scipy's compiled LAPACK module
 (scipy/linalg/_flapack), loaded under a private name without importing
 scipy.linalg. Each import test runs in a fresh interpreter, since this
 process imported scipy.linalg long ago.
@@ -28,6 +29,17 @@ def run_fresh(code):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_root_loads_nothing():
+    # every public name lives in its submodule; the root re-exports none
+    run_fresh(
+        "import sys\n"
+        "import isectret\n"
+        "prefixes = ('isectret.', 'numpy.')\n"
+        "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith(prefixes))\n"
+        "assert loaded == [], loaded\n"
+    )
 
 
 def test_importing_the_cli_loads_no_scipy_module():
@@ -59,7 +71,9 @@ assert np.allclose(S @ y, b), y
 
 
 @pytest.mark.parametrize(
-    "first", ["import isectret", "import scipy.linalg"], ids=["isectret-first", "scipy-first"]
+    "first",
+    ["import isectret.manifold", "import scipy.linalg"],
+    ids=["isectret-first", "scipy-first"],
 )
 def test_scipy_linalg_keeps_its_own_lapack_module(first):
     run_fresh(first + "\n" + SCIPY_STILL_WORKS)

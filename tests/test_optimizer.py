@@ -193,6 +193,13 @@ def test_config_validation():
         op.OptimizerConfig(sv.RetractionConfig(kind=kind))
 
 
+def test_config_rejects_an_infinite_grad_tol():
+    # every gradient norm meets an infinite target: solve would return its
+    # start point as a result without taking a step
+    with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+        op.OptimizerConfig(sv.RetractionKind.APM, grad_tol=math.inf)
+
+
 # ---------------------------------------------------------------------------
 # solve: stationary starts and input validation
 
@@ -359,7 +366,7 @@ def test_solve_log_feasibility_within_schedule():
         assert rec.residual <= rec.residual_bound
         assert rec.retraction_tol >= 1e-9  # schedule floor
         g_prev = log[rec.iteration - 1].grad_norm
-        assert rec.retraction_tol == sv.retract_tol(g_prev, rec.iteration)
+        assert rec.retraction_tol == op.retract_tol(g_prev, rec.iteration)
 
 
 def test_solve_report_accounting():

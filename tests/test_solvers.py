@@ -324,9 +324,9 @@ def gwa_newton_kron_oracle(M, Vprime, gamma, Theta):
 
 
 def test_retract_tol_frozen():
-    assert sv.retract_tol(1.0, 1) == pytest.approx(0.01)
-    assert sv.retract_tol(1e-12, 1) == pytest.approx(1e-9)
-    assert sv.retract_tol(10.0, 10) == pytest.approx(1e-3)
+    assert op.retract_tol(1.0, 1) == pytest.approx(0.01)
+    assert op.retract_tol(1e-12, 1) == pytest.approx(1e-9)
+    assert op.retract_tol(10.0, 10) == pytest.approx(1e-3)
 
 
 # ---------------------------------------------------------------------------

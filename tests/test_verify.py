@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sphere_model as sm
 from test_solvers import coupled_setup, unit_tangent
 
 from isectret import manifold as mf
@@ -24,24 +25,24 @@ def unit_vector(n, seed):
 
 
 def test_sphere_project_radial():
-    out = vf.sphere_project(np.array([2.0, 0.0, 0.0]))
+    out = sm.sphere_project(np.array([2.0, 0.0, 0.0]))
     assert np.array_equal(out, np.array([1.0, 0.0, 0.0]))
 
 
 def test_sphere_project_idempotent_on_unit_vectors():
     for seed in range(5):
         x = unit_vector(6, seed)
-        assert np.allclose(vf.sphere_project(x), x, rtol=0, atol=5e-16)
+        assert np.allclose(sm.sphere_project(x), x, rtol=0, atol=5e-16)
 
 
 def test_sphere_project_normalization_arithmetic():
-    out = vf.sphere_project(np.array([3.0, 4.0]))
+    out = sm.sphere_project(np.array([3.0, 4.0]))
     assert np.allclose(out, np.array([0.6, 0.8]), rtol=0, atol=1e-15)
 
 
 def test_sphere_project_near_zero_raises():
     with pytest.raises(NearZeroInput):
-        vf.sphere_project(np.full(3, 1e-15))
+        sm.sphere_project(np.full(3, 1e-15))
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +56,7 @@ def test_sphere_project_near_zero_raises():
 
 def test_expansion_zero_perturbation():
     x = unit_vector(5, 3)
-    out = vf.sphere_expansion_check(x, np.zeros(5))
+    out = sm.sphere_expansion_check(x, np.zeros(5))
     assert out.tangential_residual == 0.0
     assert out.normal_residual_gap == 0.0
 
@@ -65,7 +66,7 @@ def test_expansion_pure_normal_fiber_constancy():
     for seed in range(8):
         x = unit_vector(7, seed)
         for t in (1e-3, 1e-2, 0.09):
-            out = vf.sphere_expansion_check(x, t * x)
+            out = sm.sphere_expansion_check(x, t * x)
             assert out.tangential_residual <= 1e-13
             assert out.normal_residual_gap <= 1e-13
 
@@ -79,7 +80,7 @@ def test_expansion_pure_tangent_matches_closed_form():
     v /= np.linalg.norm(v)
     assert abs(v @ x) < 1e-15
     for t in (1e-3, 3e-3, 1e-2, 3e-2):
-        out = vf.sphere_expansion_check(x, t * v)
+        out = sm.sphere_expansion_check(x, t * v)
         expected_tan = t * (1.0 - 1.0 / np.sqrt(1.0 + t * t))
         expected_gap = 1.0 / np.sqrt(1.0 + t * t) - 1.0 + t * t / 2.0
         assert abs(out.tangential_residual - expected_tan) <= 5e-15 + t**5
@@ -93,7 +94,7 @@ def test_expansion_tangent_residual_is_third_order():
     v -= (v @ x) * x
     v /= np.linalg.norm(v)
     ts = np.logspace(-4, -1, 10)
-    res = np.array([vf.sphere_expansion_check(x, t * v).tangential_residual for t in ts])
+    res = np.array([sm.sphere_expansion_check(x, t * v).tangential_residual for t in ts])
     assert np.all(res > 0)
     slope = np.polyfit(np.log10(ts), np.log10(res), 1)[0]
     assert slope >= 2.7
@@ -109,8 +110,8 @@ def test_expansion_mixed_perturbation_second_order_model():
     res = np.array(
         [
             np.hypot(
-                vf.sphere_expansion_check(x, t * w).tangential_residual,
-                vf.sphere_expansion_check(x, t * w).normal_residual_gap,
+                sm.sphere_expansion_check(x, t * w).tangential_residual,
+                sm.sphere_expansion_check(x, t * w).normal_residual_gap,
             )
             for t in ts
         ]
@@ -121,10 +122,10 @@ def test_expansion_mixed_perturbation_second_order_model():
 
 def test_expansion_validates_inputs():
     with pytest.raises(ValueError):
-        vf.sphere_expansion_check(np.array([1.0, 1.0]), np.zeros(2))  # off sphere
+        sm.sphere_expansion_check(np.array([1.0, 1.0]), np.zeros(2))  # off sphere
     x = unit_vector(4, 40)
     with pytest.raises(ValueError):
-        vf.sphere_expansion_check(x, 0.2 * x)  # perturbation outside window
+        sm.sphere_expansion_check(x, 0.2 * x)  # perturbation outside window
 
 
 # ---------------------------------------------------------------------------
