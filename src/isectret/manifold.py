@@ -291,7 +291,7 @@ def _row_sq(M: IntersectionManifold, X: np.ndarray) -> np.ndarray:
     product (X * X) 1 with the manifold's cached ones vector: within a few
     ulps of np.einsum("ij,ij->i", X, X), at about half its cost per call on
     the lifts' shapes. Every squared row norm of the row and sweep kernels
-    comes from here."""
+    and of the GWA dual step (solvers._gwa_rows) comes from here."""
     return (X * X).dot(M.ones)
 
 

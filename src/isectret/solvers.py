@@ -12,17 +12,19 @@ cheap step map from V = x + eta:
  - aphl_step: dissolve the affine block into a correction along the sphere
    tangents (iterates live on M2),
  - gwa_iterate / gwa_newton_iterate: dual ascent for the exact metric
-   projection, wrapped by metric_project. Each step factors its weighted
-   Gram A Diag(v) A^T once, through mf._spd_solve, the package's one
-   Cholesky kernel (the Schur solves and the affine Gram use it too), and
-   raises SingularGram where it breaks down. gwa_iterate returns the
+   projection, wrapped by metric_project. Each step forms its weighted
+   Gram A Diag(v) A^T and right-hand side A Diag(v) V' from one row-scaled
+   copy of A, factors the Gram once, through mf._spd_solve, the package's
+   one Cholesky kernel (the Schur solves and the affine Gram use it too),
+   and raises SingularGram where it breaks down. gwa_iterate returns the
    Weiszfeld point it solves for;
    gwa_newton_iterate corrects that point by its s x s Schur solve,
    reusing the same Cholesky factor in two triangular solves through
    mf._tri_solve (LAPACK trtrs, from the same compiled module as posv).
    metric_project's loop reads each dual iterate's rows once: it forms
-   Y = V' + A^T Theta and its row norms (_gwa_rows) and hands them to the
-   next step, so neither is recomputed. Called alone, a step forms them
+   Y = V' + A^T Theta and its row norms by mf._row_sq, the package's one
+   squared row norm reduction (_gwa_rows), and hands them to the next
+   step, so neither is recomputed. Called alone, a step forms them
    itself, with the same bits. The dual objective is evaluated only at
    candidate stops, the steps whose update met its bound, from the rows
    the loop already holds for the two iterates it compares.
@@ -237,11 +239,13 @@ def aphl_step(M, R):
 
 def _gwa_rows(M, Vprime, Theta):
     """The dual iterate's rows (Y, norms): Y = V' + A^T Theta and its row
-    norms, computed as np.linalg.norm(Y, axis=1) computes them. Each row is
-    reduced on its own, so norms[binary_index] has the bits of the same
+    norms, the square roots of mf._row_sq, the package's one squared row
+    norm reduction (within 2 ulps of np.linalg.norm(Y, axis=1)). Each row
+    is reduced on its own, so norms[binary_index] has the bits of the same
     reduction over the binary block alone."""
-    Y = Vprime + M.affine.A.T @ Theta
-    return Y, np.sqrt(np.add.reduce(Y * Y, axis=1))
+    Y = M.affine.A.T.dot(Theta)
+    Y += Vprime
+    return Y, np.sqrt(mf._row_sq(M, Y))
 
 
 def _gwa_value(M, gamma, Theta, norms):
@@ -261,8 +265,9 @@ def _gwa_weights(M, norms):
 
 def gwa_objective(M, Vprime, gamma, Theta) -> float:
     """Dual objective sum_B ||Y_i|| + sum_notB ||Y_i||^2 + <gamma, Theta e1>
-    at Y = V' + A^T Theta. metric_project's loop takes the same value from
-    the rows it already holds (_gwa_rows, then _gwa_value)."""
+    at Y = V' + A^T Theta, its row norms from _gwa_rows (mf._row_sq's
+    reduction). metric_project's loop takes the same value from the rows it
+    already holds (_gwa_rows, then _gwa_value)."""
     return _gwa_value(M, gamma, Theta, _gwa_rows(M, Vprime, Theta)[1])
 
 
@@ -275,9 +280,9 @@ def _gwa_weiszfeld(M, Vprime, gamma, norms):
     LinAlgError (a Gram that is not positive definite, or not finite) into
     SingularGram."""
     A = M.affine.A
-    v = _gwa_weights(M, norms)[:, None]
-    Gv = A @ (v * A.T)
-    rhs = A @ (v * Vprime)
+    Av = A * _gwa_weights(M, norms)  # A Diag(v), m x N
+    Gv = Av.dot(A.T)
+    rhs = Av.dot(Vprime)
     rhs[:, 0] += gamma
     try:
         x, L = mf._spd_solve(Gv, rhs)

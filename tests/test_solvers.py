@@ -943,25 +943,43 @@ def _criterion6_dual_cases():
         yield label, M, *_dual_data(M, V), Theta
 
 
-def gwa_iterate_oracle(M, Vprime, gamma, Theta):
-    """The dual step with numpy's row norms and scipy's Cholesky wrappers:
-    the weighted Gram system factored by sla.cho_factor from the triangle
-    the kernel reads (the lower one of Gv.T) and solved by sla.cho_solve."""
+def row_norms(Y, parent=False):
+    """Y's row norms: sqrt((Y * Y) 1), one matrix-vector product, or with
+    parent=True np.linalg.norm(Y, axis=1), the reduction the dual step used
+    before it took mf._row_sq's."""
+    if parent:
+        return np.linalg.norm(Y, axis=1)
+    return np.sqrt((Y * Y).dot(np.ones(Y.shape[1])))
+
+
+def weighted_products(A, v, B, parent=False):
+    """A Diag(v) B: one row-scaled copy (A * v) times B, or with parent=True
+    A times the N-row broadcast v * B, the dual step's earlier formula."""
+    if parent:
+        return A @ (v[:, None] * B)
+    return (A * v) @ B
+
+
+def gwa_iterate_oracle(M, Vprime, gamma, Theta, parent=False):
+    """The dual step with its row norms and weighted Gram written out
+    (row_norms, weighted_products) and scipy's Cholesky wrappers: the
+    weighted Gram system factored by sla.cho_factor from the triangle the
+    kernel reads (the lower one of Gv.T) and solved by sla.cho_solve."""
     A = M.affine.A
     Y = Vprime + A.T @ Theta
     v = np.full(M.dims.N, 2.0)
-    nb = np.linalg.norm(Y[M.binary_rows], axis=1)
+    nb = row_norms(Y[M.binary_rows], parent)
     v[M.binary_rows] = 1.0 / np.maximum(nb, 1e-12)
-    Gv = A @ (v[:, None] * A.T)
-    rhs = A @ (v[:, None] * Vprime)
+    Gv = weighted_products(A, v, A.T, parent)
+    rhs = weighted_products(A, v, Vprime, parent)
     rhs[:, 0] += gamma
     return -sla.cho_solve(sla.cho_factor(Gv.T, lower=True), rhs)
 
 
-def gwa_objective_oracle(M, Vprime, gamma, Theta):
-    """The dual objective with numpy's row norms and a boolean row mask."""
+def gwa_objective_oracle(M, Vprime, gamma, Theta, parent=False):
+    """The dual objective with row_norms and a boolean row mask."""
     Y = Vprime + M.affine.A.T @ Theta
-    norms = np.linalg.norm(Y, axis=1)
+    norms = row_norms(Y, parent)
     mask = np.zeros(M.dims.N, dtype=bool)
     mask[M.binary_rows] = True
     return float(norms[mask].sum() + (norms[~mask] ** 2).sum() + gamma @ Theta[:, 0])
@@ -1011,19 +1029,20 @@ def test_gwa_dual_step_and_objective_match_the_scipy_oracle_bytes():
             assert g == gwa_objective_oracle(M, Vp, gamma, Theta), f"{label}, step {step}"
 
 
-def gwa_newton_iterate_oracle(M, Vprime, gamma, Theta):
-    """The dual Newton step with numpy's row norms and scipy's wrappers: the
-    weighted Gram factored by sla.cho_factor as in gwa_iterate_oracle, the
-    Weiszfeld point by sla.cho_solve, and both triangular solves with the
-    factor by sla.solve_triangular. The s x s Schur system goes through
-    mf.schur_solve, whose routes have their own oracles."""
+def gwa_newton_iterate_oracle(M, Vprime, gamma, Theta, parent=False):
+    """The dual Newton step with row_norms, weighted_products and scipy's
+    wrappers: the weighted Gram factored by sla.cho_factor as in
+    gwa_iterate_oracle, the Weiszfeld point by sla.cho_solve, and both
+    triangular solves with the factor by sla.solve_triangular. The s x s
+    Schur system goes through mf.schur_solve, whose routes have their own
+    oracles."""
     A = M.affine.A
     Y = Vprime + A.T @ Theta
-    nb = np.linalg.norm(Y[M.binary_rows], axis=1)
+    nb = row_norms(Y[M.binary_rows], parent)
     v = np.full(M.dims.N, 2.0)
     v[M.binary_rows] = 1.0 / nb
-    Gv = A @ (v[:, None] * A.T)
-    rhs = A @ (v[:, None] * Vprime)
+    Gv = weighted_products(A, v, A.T, parent)
+    rhs = weighted_products(A, v, Vprime, parent)
     rhs[:, 0] += gamma
     L = sla.cho_factor(Gv.T, lower=True)[0]
     Theta_w = -sla.cho_solve((L, True), rhs)
@@ -1045,19 +1064,58 @@ def test_gwa_newton_step_matches_the_solve_triangular_oracle_bytes():
             Theta = got
 
 
-def metric_project_loop_oracle(M, V, method, tol=1e-9, maxiter=500):
+def test_gwa_row_norms_and_weighted_products_stay_within_rounding_of_the_parent_formulas(
+    monkeypatch,
+):
+    """The dual step's row norms lie within 2 ulps of np.linalg.norm, and the
+    weighted Gram and right-hand side it hands mf._spd_solve within
+    2 eps sum_j |A_ij| v_j |B_kj| of the broadcast products A (v * B), entry
+    by entry. The step's output is not compared across the two formulas:
+    the solve amplifies their rounding by cond(Gv), which reaches 3.2e9
+    and 2.4e9 on criterion 6 seeds 25 and 30."""
+    eps = np.finfo(float).eps
+    handed = []
+    spd_solve = mf._spd_solve
+
+    def record(S, rhs):
+        handed.append((S.copy(), rhs.copy()))
+        return spd_solve(S, rhs)
+
+    monkeypatch.setattr(mf, "_spd_solve", record)
+    for label, M, Vp, gamma, Theta in (*_criterion6_dual_cases(), *_lift_dual_cases()):
+        A = M.affine.A
+        for step in range(10):
+            Y, norms = sv._gwa_rows(M, Vp, Theta)
+            want = np.linalg.norm(Vp + A.T @ Theta, axis=1)
+            assert np.all(np.abs(norms - want) <= 2 * np.spacing(want)), f"{label}, step {step}"
+            # gamma = 0 hands the kernel the bare product A Diag(v) V'
+            handed.clear()
+            sv._gwa_weiszfeld(M, Vp, np.zeros(M.dims.m_rows), norms)
+            ((Gv, rhs),) = handed
+            v = sv._gwa_weights(M, norms)
+            for got, B in ((Gv, A.T), (rhs, Vp)):
+                bound = 2 * eps * weighted_products(np.abs(A), v, np.abs(B))
+                gap = np.abs(got - weighted_products(A, v, B, parent=True))
+                assert np.all(gap <= bound), f"{label}, step {step}"
+            Theta = sv.gwa_iterate(M, Vp, gamma, Theta, (Y, norms))
+
+
+def metric_project_loop_oracle(M, V, method, tol=1e-9, maxiter=500, step=None, objective=None):
     """metric_project's dual loop with every step through the public maps
     and nothing held between them: step(M, V', gamma, Theta), then
     gwa_objective at the new iterate, so Y and its row norms are formed
-    twice per step. Same stop test, recovery and error messages."""
+    twice per step. Same stop test, recovery and error messages. step and
+    objective replace the method's public step map and gwa_objective."""
     A = M.affine.A
     Vp, gamma = _dual_data(M, V)
-    step = sv.gwa_iterate if method == "gwa" else sv.gwa_newton_iterate
+    if step is None:
+        step = sv.gwa_iterate if method == "gwa" else sv.gwa_newton_iterate
+    objective = sv.gwa_objective if objective is None else objective
     Theta = np.zeros((M.dims.m_rows, M.dims.r))
-    g_cur = sv.gwa_objective(M, Vp, gamma, Theta)
+    g_cur = objective(M, Vp, gamma, Theta)
     for _ in range(maxiter):
         nxt = step(M, Vp, gamma, Theta)
-        g_nxt = sv.gwa_objective(M, Vp, gamma, nxt)
+        g_nxt = objective(M, Vp, gamma, nxt)
         change = mf.frobenius_norm(nxt - Theta)
         bound = tol * (mf.frobenius_norm(Theta) + 1.0)
         done = change <= bound and g_nxt <= g_cur + 1e-12 * (abs(g_cur) + 1.0)
@@ -1119,6 +1177,47 @@ def test_metric_project_loop_matches_the_unshared_loop_bytes(method):
         assert ("qkp100 lift", MaxIterExceeded) in outcomes
     else:
         assert ("centred row", DegenerateRow) in outcomes
+
+
+@pytest.mark.parametrize("method", ["gwa", "gwa-newton"])
+def test_dual_trajectory_keeps_the_parent_formulas_steps_on_well_conditioned_inputs(
+    monkeypatch, method
+):
+    """On the decoupled instance and the lifts, metric_project takes as many
+    dual steps as the loop oracle built from the dual step's earlier row
+    norm and Gram formulas, ends in the same outcome, and lands within
+    1e-14 relative of its point."""
+    oracle = gwa_iterate_oracle if method == "gwa" else gwa_newton_iterate_oracle
+
+    def parent_objective(M, Vprime, gamma, Theta):
+        return gwa_objective_oracle(M, Vprime, gamma, Theta, parent=True)
+
+    M = decoupled_manifold(seed=11)
+    x = feasible_point(M, seed=11)
+    outcomes = {}
+    for label, M, V in (("decoupled", M, x + 0.05 * unit_tangent(M, x, seed=11)), *_lift_points()):
+        taken = []
+
+        def parent_step(M, Vprime, gamma, Theta, _taken=taken):
+            _taken.append(Theta)
+            return oracle(M, Vprime, gamma, Theta, parent=True)
+
+        want = _projection_outcome(
+            metric_project_loop_oracle, M, V, method, step=parent_step, objective=parent_objective
+        )
+        steps, _ = log_dual_loop(monkeypatch, method)
+        got = _projection_outcome(sv.metric_project, M, V, method=method)
+        monkeypatch.undo()
+        assert (got[0], len(steps)) == (want[0], len(taken)), label
+        if want[0] == "ok":
+            P, Q = (np.frombuffer(out[1]).reshape(V.shape) for out in (got, want))
+            assert np.linalg.norm(P - Q) <= 1e-14 * np.linalg.norm(Q), label
+        outcomes[label] = (want[0], len(taken))
+    if method == "gwa":
+        assert outcomes["qap lift"] == ("ok", 395)
+        assert outcomes["qkp lift"] == outcomes["qkp100 lift"] == (MaxIterExceeded, 500)
+    else:
+        assert all(kind == "ok" for kind, _ in outcomes.values())
 
 
 def log_dual_loop(monkeypatch, method):
