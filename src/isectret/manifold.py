@@ -204,8 +204,9 @@ class IntersectionManifold:
         # rows broadcast against the first column in place of strided
         # column updates, with the same bits: x - 0.0 and x + (-0.0) are x
         # for every x, signed zeros included. e1 is the unit row, centre the
-        # spheres' centre e1/2, rhs the affine right-hand side b e1^T, and
-        # ones the vector that sums each row in _row_sq
+        # spheres' centre e1/2, rhs the affine right-hand side b e1^T, ones
+        # the vector that sums each row in _row_sq, and unit_d the slice
+        # diagonal d = 1 of a NewtonSLRA step, whose normals are unit
         r = self.dims.r
         self.e1 = np.zeros(r)
         self.e1[0] = 1.0
@@ -214,7 +215,8 @@ class IntersectionManifold:
         self.rhs = np.zeros((self.dims.m_rows, r))
         self.rhs[:, 0] = self.affine.b_col
         self.ones = np.ones(r)
-        for a in (self.e1, self.centre, self.rhs, self.ones):
+        self.unit_d = np.ones(self.dims.s)
+        for a in (self.e1, self.centre, self.rhs, self.ones, self.unit_d):
             a.setflags(write=False)
 
     def binary_block(self, R: np.ndarray) -> np.ndarray:
@@ -559,7 +561,15 @@ def schur_solve(d, C, U, rhs, gram=None):
     m = U.shape[1]
     if s <= _SMW_RATIO * m * r:
         UUt = U @ U.T if gram is None else gram()
-        return _spd_solve(np.diag(d) - (C @ C.T) * UUt, rhs)[0]
+        # Diag(d) - (C C^T) o (U U^T) in one buffer, with the bits of that
+        # expression: off the diagonal 0 - x is 0.0 - x, signed zeros
+        # included, and on it (0 - x) + d = d - x exactly for every d but
+        # -0.0, which no caller passes (d is 1 or a squared row norm)
+        S = C.dot(C.T)
+        S *= UUt
+        np.subtract(0.0, S, out=S)
+        S.ravel()[:: s + 1] += d
+        return _spd_solve(S, rhs)[0]
     W = _row_kron(C, U)
     Wd = W / d[:, None]
     core = np.eye(m * r) - W.T @ Wd
@@ -592,7 +602,8 @@ def project_slice(
     numpy.linalg.LinAlgError into a typed error for the slice solves.
     """
     K = M.affine.K
-    KE = K @ E
+    # ndarray.dot, not @, as in _affine_gap: the same bits (tests pin them)
+    KE = K.dot(E)
     rhs = h - np.einsum("ij,ij->i", M.binary_block(KE), C)
     try:
         mu = schur_solve(d, C, M.affine.low_rank_factor, rhs, gram=lambda: M.affine.low_rank_gram)
@@ -600,7 +611,7 @@ def project_slice(
         raise SingularSchur(f"slice system singular: {exc}") from exc
     muC = mu[:, None] * C
     out = v - KE
-    out += K @ (M.affine.A_B @ muC)
+    out += K.dot(M.affine.A_B.dot(muC))
     out[M.binary_index] -= muC
     return out
 
@@ -651,7 +662,7 @@ def project_tangent(
     gv = np.einsum("ij,ij->i", C, M.binary_block(v))
     d2 = np.einsum("ij,ij->i", C, C)
     try:
-        xi = project_slice(M, v, C, d2, gv, E=M.affine.A @ v)
+        xi = project_slice(M, v, C, d2, gv, E=M.affine.A.dot(v))
     except SingularSchur as e:
         raise TangentSolveSingular(f"tangent KKT solve failed: {e}") from e
     return TangentVector(xi=xi, base=R)

@@ -104,17 +104,28 @@ class SolveReport:
     per_iter_log: list
 
 
+def _value(inst, R):
+    """(f, Q' R): the objective at R and the product it is read from, which
+    _grad_from turns into the gradient without forming it again."""
+    QR = inst.Qlift @ R
+    return float((R * QR).sum() + 2.0 * inst.clift @ R[:, 0]), QR
+
+
+def _grad_from(inst, QR):
+    """2 Q' R + 2 c' e1^T from the product Q' R."""
+    G = 2.0 * QR
+    G[:, 0] += 2.0 * inst.clift
+    return G
+
+
 def objective(inst: pb.ProblemInstance, R: np.ndarray) -> float:
     """trace(R^T Q' R) + 2 c'^T R e1 on the lifted data."""
-    QR = inst.Qlift @ R
-    return float(np.sum(R * QR) + 2.0 * inst.clift @ R[:, 0])
+    return _value(inst, R)[0]
 
 
 def gradient(inst: pb.ProblemInstance, R: np.ndarray) -> np.ndarray:
     """Euclidean gradient 2 Q' R + 2 c' e1^T."""
-    G = 2.0 * (inst.Qlift @ R)
-    G[:, 0] += 2.0 * inst.clift
-    return G
+    return _grad_from(inst, inst.Qlift @ R)
 
 
 def retract_tol(grad_norm: float, i: int) -> float:
@@ -129,9 +140,9 @@ def bb_step(s_prev, y_prev):
     """
     s = np.asarray(s_prev, dtype=float)
     y = np.asarray(y_prev, dtype=float)
-    ss = float(np.sum(s * s))
-    sy = float(np.sum(s * y))
-    yy = float(np.sum(y * y))
+    ss = float((s * s).sum())
+    sy = float((s * y).sum())
+    yy = float((y * y).sum())
     if ss == 0.0 or yy == 0.0:
         raise ValueError("bb_step needs nonzero s_prev and y_prev")
     lo, hi = _STEP_BOUNDS
@@ -181,8 +192,10 @@ def solve(inst: pb.ProblemInstance, cfg: OptimizerConfig, R0=None) -> SolveRepor
     wall_start = time.perf_counter()
     M = inst.manifold
     R, res = _start(inst, R0)
-    f = objective(inst, R)
-    xi, g = _riemannian_grad(M, R, gradient(inst, R), res)
+    # each point's Q' R is formed once: its objective and, for the accepted
+    # point, its gradient are both read from it
+    f, QR = _value(inst, R)
+    xi, g = _riemannian_grad(M, R, _grad_from(inst, QR), res)
     log = [
         IterRecord(
             iteration=0,
@@ -215,7 +228,7 @@ def solve(inst: pb.ProblemInstance, cfg: OptimizerConfig, R0=None) -> SolveRepor
                 raise
             # the trace's first record is the start point, not a step
             inner += len(out.trace) - 1
-            f_new = objective(inst, out.point)
+            f_new, QR = _value(inst, out.point)
             if f_new <= window_max - _DECREASE_COEFF * t * g * g:
                 break
             t *= 0.5
@@ -229,7 +242,7 @@ def solve(inst: pb.ProblemInstance, cfg: OptimizerConfig, R0=None) -> SolveRepor
         bound = tol_i * (mf.frobenius_norm(R_new) + 1.0)
         # the retraction trace ends with residual_norms of the point it returns
         res = out.trace.combined[-1]
-        xi_new, g_new = _riemannian_grad(M, R_new, gradient(inst, R_new), res)
+        xi_new, g_new = _riemannian_grad(M, R_new, _grad_from(inst, QR), res)
         s_prev = R_new - R
         y_prev = xi_new - xi
         R, f, xi, g = R_new, f_new, xi_new, g_new

@@ -192,7 +192,7 @@ def newton_slra_step(M, R):
     Rt = mf.project_binary(M, R)
     C = mf.row_normals(M, Rt)  # unit rows since Rt is on M2
     h = np.einsum("ij,ij->i", M.binary_block(R) - M.binary_block(Rt), C)
-    return mf.project_slice(M, R, C, np.ones(M.dims.s), h, E=E)
+    return mf.project_slice(M, R, C, M.unit_d, h, E=E)
 
 
 def relaxed_newton_slra_step(M, R):
@@ -329,7 +329,7 @@ def gwa_newton_iterate(M, Vprime, gamma, Theta, rows=None):
     U0 = mf._tri_solve(L, AB).T
     rhs = np.einsum("ij,ij->i", AB.T @ (Theta - Theta_w), C)
     try:
-        gam = mf.schur_solve(np.ones(M.dims.s), C, U0, rhs)
+        gam = mf.schur_solve(M.unit_d, C, U0, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSchur(f"newton schur system singular: {exc}") from exc
     return Theta_w - mf._tri_solve(L, U0.T @ (gam[:, None] * C), trans=1)
@@ -424,10 +424,10 @@ def _validate_base_and_tangent(M, x, eta, base_res=None):
     eta = mf.check_point(M, eta, "eta")
     mf.check_base(M, x, base_res)
     esc = mf.frobenius_norm(eta) + 1.0
-    if mf.frobenius_norm(M.affine.A @ eta) > 1e-8 * esc:
+    if mf.frobenius_norm(M.affine.A.dot(eta)) > 1e-8 * esc:
         raise ValueError("eta violates the linearized affine constraints")
     dots = np.einsum("ij,ij->i", mf.row_normals(M, x), M.binary_block(eta))
-    if dots.size and np.max(np.abs(dots)) > 1e-8 * esc:
+    if dots.size and np.abs(dots).max() > 1e-8 * esc:
         raise ValueError("eta violates the linearized row-sphere constraints")
     return x, eta
 
@@ -532,16 +532,19 @@ def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult
     if kind is RetractionKind.IAP:
         return _iterate(M, V, res, cfg, lambda y, res: (*iap_step(M, y, res[2]), tag))
 
-    step = {
-        RetractionKind.NewtonSLRA: lambda R: newton_slra_step(M, R),
-        RetractionKind.RelaxedNewtonSLRA: lambda R: relaxed_newton_slra_step(M, R),
-        RetractionKind.APHL: lambda R: aphl_step(M, R),
-    }[kind]
+    if kind is RetractionKind.NewtonSLRA:
+        step = newton_slra_step
+    elif kind is RetractionKind.RelaxedNewtonSLRA:
+        step = relaxed_newton_slra_step
+    else:
+        step = aphl_step
 
     def advance(y, res):
         try:
-            y_new = step(y)
-            res_new = mf.residual_norms(M, y_new)
+            y_new = step(M, y)
+            # a step map returns a float (N, r) array, so the residual pass
+            # needs no shape check, as in mf.sweep
+            res_new = mf._residual_pass(M, y_new)
         except VanishingDirection:
             # only relaxed_newton_slra_step raises it
             y_new, res_new = None, (np.inf,)
@@ -553,7 +556,7 @@ def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult
 
     def start(y, res):
         P = mf.project_binary(M, y)
-        return P, mf.residual_norms(M, P)
+        return P, mf._residual_pass(M, P)
 
     return _iterate(M, V, res, cfg, advance, start=start if kind is RetractionKind.APHL else None)
 
@@ -592,7 +595,7 @@ def tapr(M, V, res, cfg: RetractionConfig) -> RetractionResult:
                 phase = "newton"
             return y, res, tag
         probe = newton_slra_step(M, y)
-        res_probe = mf.residual_norms(M, probe)
+        res_probe = mf._residual_pass(M, probe)
         if res_probe[0] ** 2 <= (1.0 - _TAPR_MU2) * err**2:
             return probe, res_probe, "newton"
         phase = "iap"

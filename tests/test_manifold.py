@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from test_solvers import (
+    _dual_data,
     aphl_delta_oracle,
     coupled_setup,
     decoupled_manifold,
     on_route,
+    point_on_m1,
     spoiled,
     tangent_kkt_oracle,
     tangent_pair,
@@ -496,15 +498,32 @@ def test_residual_norms_match_the_two_residuals_bit_for_bit():
             assert mf.combined_residual(M, X) == combined
 
 
-def test_affine_products_take_the_same_bits_by_dot_as_by_matmul():
-    # the kernels take A R and K E by ndarray.dot, at half the call cost of
-    # @; numpy may route a one-column product through gemv, so a rank-1 lift
-    # and Fortran-ordered points are checked too
+def dot_pin_cases():
+    """parity_cases, a rank-1 lift, and a vertex-plus-noise probe on each
+    other lift the CI grids and the benchmark run: QKP n=6, 60 and 100 and
+    QAP p=6."""
     rank_one = pb.lift_qkp(pb.gen_qkp(12, 0.5, 42), r=1)
     probe = pb.feasible_init(rank_one, 1) + np.random.default_rng(3).standard_normal((14, 1))
-    cases = [*parity_cases(), (rank_one.manifold, [probe])]
-    for M, probes in cases:
-        A, K = M.affine.A, M.affine.K
+    yield from parity_cases()
+    yield rank_one.manifold, [probe]
+    for inst in (
+        pb.lift_qkp(pb.gen_qkp(6, 0.5, 3)),
+        pb.lift_qkp(pb.gen_qkp(60, 0.5, 2)),
+        pb.lift_qkp(pb.gen_qkp(100, 0.5, 42)),
+        qap_lift(6),
+    ):
+        M = inst.manifold
+        base = pb.feasible_init(inst, M.dims.r)
+        yield M, [base + 1e-3 * np.random.default_rng(M.dims.N).standard_normal(base.shape)]
+
+
+def test_affine_products_take_the_same_bits_by_dot_as_by_matmul():
+    # the kernels take A R, K E and project_slice's K (A_B (mu o C)) by
+    # ndarray.dot, at half the call cost of @; numpy may route a one-column
+    # product through gemv, so a rank-1 lift and Fortran-ordered points are
+    # checked too
+    for M, probes in dot_pin_cases():
+        A, K, A_B = M.affine.A, M.affine.K, M.affine.A_B
         for X in probes:
             for Y in (X, np.asfortranarray(X), X[:, :1]):
                 assert A.dot(Y).tobytes() == (A @ Y).tobytes(), repr(M)
@@ -512,6 +531,23 @@ def test_affine_products_take_the_same_bits_by_dot_as_by_matmul():
             assert E.tobytes() == (A @ X - M.rhs).tobytes()
             for F in (E, np.asfortranarray(E), E[:, :1]):
                 assert K.dot(F).tobytes() == (K @ F).tobytes(), repr(M)
+            # mu o C is an s x r C-ordered product, as project_slice forms it
+            muC = np.linspace(-1.0, 1.0, M.dims.s)[:, None] * X[M.binary_rows]
+            AmuC = A_B.dot(muC)
+            assert AmuC.tobytes() == (A_B @ muC).tobytes(), repr(M)
+            assert K.dot(AmuC).tobytes() == (K @ AmuC).tobytes(), repr(M)
+
+
+def test_dot_reads_a_strided_point_as_its_contiguous_copy():
+    # project_tangent takes A v by ndarray.dot, which copies a point BLAS
+    # cannot stride into place first, so v's layout does not change the
+    # bits; @ runs its own loop on such a view (a row-strided slice of a
+    # Fortran-ordered array) and may round otherwise
+    for M, probes in parity_cases():
+        A = M.affine.A
+        wide = np.asfortranarray(np.random.default_rng(5).standard_normal((2 * M.dims.N, M.dims.r)))
+        for Y in (wide[::2], np.asfortranarray(probes[0])[:, ::-1]):
+            assert A.dot(Y).tobytes() == A.dot(np.ascontiguousarray(Y)).tobytes(), repr(M)
 
 
 def test_cached_binary_columns_are_the_fancy_indexed_copy():
@@ -715,6 +751,13 @@ def test_low_rank_gram_is_the_read_only_product_bit_for_bit():
             G[0, 0] = 1.0
 
 
+def test_manifold_row_constants_are_read_only():
+    for M, _ in parity_cases():
+        assert M.unit_d.tobytes() == np.ones(M.dims.s).tobytes()
+        for a in (M.e1, M.centre, M.rhs, M.ones, M.unit_d):
+            assert not a.flags.writeable
+
+
 def slice_solves(M, R):
     """The three callers of the slice projection at R, on the auto route."""
     rng = np.random.default_rng(M.dims.N)
@@ -751,6 +794,87 @@ def test_auto_route_takes_smw_on_qkp_and_direct_on_qap_bit_for_bit():
         assert auto.tobytes() == on_route(want, mf.schur_solve, d, C, U, rhs).tobytes(), repr(M)
         other = "direct" if want == "smw" else "smw"
         assert auto.tobytes() != on_route(other, mf.schur_solve, d, C, U, rhs).tobytes(), repr(M)
+
+
+def criterion_6_manifolds():
+    """The fifty random manifolds of acceptance criterion 6, each with its
+    point on M1 and its seeded draw."""
+    for seed in range(50):
+        rng = np.random.default_rng(seed + 500)
+        N = int(rng.integers(6, 40))
+        s = int(rng.integers(1, min(N - 1, 30)))
+        m = int(rng.integers(1, 3))
+        r = int(rng.integers(1, 4))
+        A = rng.standard_normal((m, N))
+        b = rng.standard_normal(m)
+        rows = np.sort(rng.choice(N, size=s, replace=False))
+        M = mf.IntersectionManifold(A, b, binary_rows=rows, r=r)
+        yield M, point_on_m1(M, seed + 500), rng
+
+
+def exact_zero_schur_system():
+    """Signed unit rows along the axes, so C C^T holds exact zeros, and a U
+    with entries of both signs, so (C C^T) o (U U^T) holds both +0.0 and
+    -0.0 off its diagonal."""
+    C = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]] * 2)
+    U = 0.3 * np.array([[1.0, -2.0], [-1.0, 1.0], [2.0, 1.0], [1.0, 1.0], [-2.0, 1.0], [1.0, -1.0]])
+    return np.full(6, 2.0), C, U, np.array([1.0, 0.0, -1.0, 0.0, 2.0, -0.0])
+
+
+def test_direct_schur_route_keeps_the_bits_of_the_dense_expression(monkeypatch):
+    # schur_solve builds Diag(d) - (C C^T) o (U U^T) in one buffer; the
+    # system it factors and its solution must keep the bits of that
+    # expression, signed zeros included, for every caller: NewtonSLRA,
+    # APHL, the tangent projection and the dual Newton step
+    schur_solve, spd_solve = mf.schur_solve, mf._spd_solve
+    factored = []
+    checked = []
+
+    def recording_spd_solve(S, rhs):
+        factored.append(S.copy())
+        return spd_solve(S, rhs)
+
+    def oracle_schur_solve(d, C, U, rhs, gram=None):
+        UUt = U @ U.T if gram is None else gram()
+        want_S = np.diag(d) - (C @ C.T) * UUt
+        try:
+            want = spd_solve(want_S.copy(), rhs)[0]
+        except np.linalg.LinAlgError:
+            want = None
+        factored.clear()
+        try:
+            got = schur_solve(d, C, U, rhs, gram)
+        except np.linalg.LinAlgError:
+            got = None
+        (S,) = factored
+        assert S.tobytes() == want_S.tobytes()
+        assert (got is None) == (want is None)
+        checked.append(S)
+        if got is None:
+            raise np.linalg.LinAlgError("not positive definite")
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        return got
+
+    monkeypatch.setattr(mf, "_SMW_RATIO", math.inf)
+    monkeypatch.setattr(mf, "_spd_solve", recording_spd_solve)
+    monkeypatch.setattr(mf, "schur_solve", oracle_schur_solve)
+    for M, R, rng in criterion_6_manifolds():
+        sv.newton_slra_step(M, R)
+        sv.aphl_step(M, mf.project_binary(M, R))
+        mf.project_tangent(M, R, rng.standard_normal(R.shape), base_res=0.0)
+        Vp, gamma = _dual_data(M, rng.standard_normal(R.shape))
+        sv.gwa_newton_iterate(M, Vp, gamma, 0.1 * rng.standard_normal((M.dims.m_rows, M.dims.r)))
+    assert len(checked) == 50 * 4
+    # the QAP lifts' points come from NewtonSLRA retractions, checked too
+    for p, seed in ((6, 8), (8, 8)):
+        slice_solves(*lifted_point(qap_lift(p), seed=seed))
+    assert len(checked) > 50 * 4 + 2 * 3
+    d, C, U, rhs = exact_zero_schur_system()
+    x = (C @ C.T) * (U @ U.T)
+    assert np.signbit(x[x == 0.0]).any() and not np.signbit(x[x == 0.0]).all()
+    mf.schur_solve(d, C, U, rhs)
+    assert np.count_nonzero(checked[-1] == 0.0) > 0
 
 
 @pytest.mark.parametrize("path", ["direct", "smw"])

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from test_solvers import feasible_point
 
+from isectret import cli
 from isectret import manifold as mf
 from isectret import optimizer as op
 from isectret import problems as pb
@@ -450,3 +451,123 @@ def test_solve_deterministic():
     assert np.array_equal(rep1.final_point, rep2.final_point)
     assert rep1.final_objective == rep2.final_objective
     assert rep1.outer_iters == rep2.outer_iters
+
+
+# ---------------------------------------------------------------------------
+# solve against a plain copy of its loop, on the descent benchmark's cells
+
+
+def descent_cells():
+    """The two instances of the descent benchmark, built as its files are
+    written and read: a seeded QAP p=8 text (seed sequence (1, 4)) and the
+    knapsack gen_qkp(60, 0.5, 2) through its file format, each at the
+    start --move-start 0.3 gives, with aphl and newton-slra at --tol 2e-2
+    and --max-outer 40."""
+    rng = np.random.default_rng(np.random.SeedSequence([1, 4]))
+    W = np.triu(rng.integers(0, 10, size=(8, 8)), 1)
+    D = np.triu(rng.integers(1, 10, size=(8, 8)), 1)
+    lines = ["8", ""]
+    lines += [" ".join(str(int(v)) for v in row) for row in W + W.T]
+    lines.append("")
+    lines += [" ".join(str(int(v)) for v in row) for row in D + D.T]
+    qap = pb.lift_qap(pb.parse_qaplib("\n".join(lines) + "\n", name="qap8"))
+    qkp = pb.lift_qkp(pb.parse_qkp(pb.format_qkp(pb.gen_qkp(60, 0.5, 2))))
+    for inst in (qap, qkp):
+        R0 = cli._moved_start(inst, 0.3)
+        for kind in (sv.RetractionKind.APHL, sv.RetractionKind.NewtonSLRA):
+            yield inst, R0, config(kind=kind, grad_tol=2e-2, max_outer=40)
+
+
+def reference_bb_step(s, y):
+    ss, sy, yy = (float(np.sum(a * b)) for a, b in ((s, s), (s, y), (y, y)))
+    assert ss != 0.0 and yy != 0.0
+    raw = ss / sy if sy != 0.0 else -1.0
+    if not np.isfinite(raw) or raw <= 0.0:
+        return 1e-8
+    return min(max(raw, 1e-8), 1e2)
+
+
+def reference_solve(inst, cfg, R0):
+    """solve's BB loop written out plainly: the public objective at every
+    trial point, the public gradient at every accepted one and the BB sums
+    by np.sum. Returns the log, or the error with the outer iteration."""
+    M = inst.manifold
+    R = np.array(R0, dtype=float)
+    res = float(mf.combined_residual(M, R))
+    f = op.objective(inst, R)
+    xi = mf.project_tangent(M, R, op.gradient(inst, R), base_res=res).xi
+    g = float(np.linalg.norm(xi))
+    log = [op.IterRecord(0, f, g, 0.0, 0, 0, 0.0, res, 0.0)]
+    s_prev = y_prev = None
+    for i in range(1, cfg.max_outer + 1):
+        if g <= cfg.grad_tol:
+            break
+        t = 1e-3 / (g + 1.0) if i == 1 else reference_bb_step(s_prev, y_prev)
+        tol_i = op.retract_tol(g, i)
+        ret_cfg = sv.RetractionConfig(kind=cfg.kind, tol=tol_i)
+        window_max = max(rec.objective for rec in log[-5:])
+        inner = 0
+        for halvings in range(21):
+            out = sv.retract(M, R, -t * xi, ret_cfg, base_res=res)
+            inner += len(out.trace) - 1
+            f_new = op.objective(inst, out.point)
+            if f_new <= window_max - 1e-8 * t * g * g:
+                break
+            t *= 0.5
+        else:
+            return LineSearchFailed(
+                f"nonmonotone test rejected 20 halvings at outer iteration {i}"
+            )
+        R_new = out.point
+        bound = tol_i * (np.linalg.norm(R_new) + 1.0)
+        res = out.trace.combined[-1]
+        xi_new = mf.project_tangent(M, R_new, op.gradient(inst, R_new), base_res=res).xi
+        g_new = float(np.linalg.norm(xi_new))
+        s_prev, y_prev = R_new - R, xi_new - xi
+        R, f, xi, g = R_new, f_new, xi_new, g_new
+        log.append(op.IterRecord(i, f, g, t, halvings, inner, tol_i, res, float(bound)))
+    return log
+
+
+def test_solve_matches_a_plain_copy_of_its_loop_on_the_descent_cells(monkeypatch):
+    # the loop forms each point's Q' R once and reads its objective and
+    # gradient from it; every trial, log field and error must keep the bits
+    # of the loop that calls objective and gradient at each point. The QKP
+    # cells end in LineSearchFailed, so the trials are compared too
+    retract, project_tangent = sv.retract, mf.project_tangent
+
+    def recorded(calls):
+        def traced_retract(M, x, eta, cfg, base_res=None):
+            out = retract(M, x, eta, cfg, base_res=base_res)
+            calls.append(("retract", eta.tobytes(), out.point.tobytes()))
+            return out
+
+        def traced_project_tangent(M, R, v, base_res=None):
+            out = project_tangent(M, R, v, base_res=base_res)
+            calls.append(("project_tangent", v.tobytes(), out.xi.tobytes()))
+            return out
+
+        monkeypatch.setattr(sv, "retract", traced_retract)
+        monkeypatch.setattr(mf, "project_tangent", traced_project_tangent)
+
+    outcomes = set()
+    for inst, R0, cfg in descent_cells():
+        want_calls, got_calls = [], []
+        recorded(want_calls)
+        want = reference_solve(inst, cfg, R0)
+        recorded(got_calls)
+        try:
+            got = op.solve(inst, cfg, R0=R0).per_iter_log
+        except LineSearchFailed as err:
+            assert isinstance(want, LineSearchFailed), str(err)
+            assert str(err) == str(want)
+            outcomes.add("LineSearchFailed")
+        else:
+            assert isinstance(want, list), str(want)
+            assert repr(got) == repr(want)
+            # one tangent projection at the start and one per accepted step
+            kinds = [c[0] for c in got_calls]
+            assert kinds.count("project_tangent") == len(got)
+            outcomes.add("ok")
+        assert got_calls == want_calls
+    assert outcomes == {"ok", "LineSearchFailed"}

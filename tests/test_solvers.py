@@ -1803,6 +1803,33 @@ def test_relaxed_newton_slra_falls_back_to_apm_on_a_vanishing_direction(monkeypa
     assert len(vanished) == 1
 
 
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        (sv.RetractionKind.NewtonSLRA, "newton_slra_step"),
+        (sv.RetractionKind.RelaxedNewtonSLRA, "relaxed_newton_slra_step"),
+        (sv.RetractionKind.APHL, "aphl_step"),
+    ],
+)
+def test_retract_looks_its_step_map_up_at_call_time(kind, name, monkeypatch):
+    # a Newton-family step map rebound on the module (as the benchmark's
+    # tracer does) takes every step of the next retraction
+    M = decoupled_manifold(seed=26)
+    x = feasible_point(M, seed=26)
+    eta = 0.01 * unit_tangent(M, x, seed=26)
+    cfg = sv.RetractionConfig(kind=kind, tol=1e-12)
+    calls = []
+
+    def step(M, R, _fn=getattr(sv, name)):
+        calls.append(R)
+        return _fn(M, R)
+
+    monkeypatch.setattr(sv, name, step)
+    res = sv.retract(M, x, eta, cfg)
+    # every step calls the map, a step that falls back to APM included
+    assert len(res.trace.phases) - 1 == len(calls) > 0
+
+
 def test_retract_tol_absolute_flag():
     M = decoupled_manifold(seed=26)
     x = feasible_point(M, seed=26)
