@@ -185,8 +185,9 @@ def _cmd_verify_order(args) -> int:
     kinds = _parse_kinds(args.kinds)
     if not (0.0 < args.t_min < args.t_max and math.isfinite(args.t_max)):
         raise UsageError("need 0 < --t-min < --t-max < inf")
-    if args.points < 2:
-        raise UsageError("--points must be at least 2")
+    # the slope fit needs this many points, so a shorter grid can never fit
+    if args.points < vf._MIN_FIT_POINTS:
+        raise UsageError(f"--points must be at least {vf._MIN_FIT_POINTS}")
     inst = _load_instance(args.instance)
     grid = np.logspace(np.log10(args.t_min), np.log10(args.t_max), args.points)
     M = inst.manifold

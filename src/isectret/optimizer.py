@@ -238,8 +238,6 @@ def solve(inst: pb.ProblemInstance, cfg: OptimizerConfig, R0=None) -> SolveRepor
                 f"at outer iteration {i}"
             )
         R_new = out.point
-        # the bound _iterate tested the returned point against
-        bound = tol_i * (mf.frobenius_norm(R_new) + 1.0)
         # the retraction trace ends with residual_norms of the point it returns
         res = out.trace.combined[-1]
         xi_new, g_new = _riemannian_grad(M, R_new, _grad_from(inst, QR), res)
@@ -256,7 +254,7 @@ def solve(inst: pb.ProblemInstance, cfg: OptimizerConfig, R0=None) -> SolveRepor
                 retraction_iters=inner,
                 retraction_tol=tol_i,
                 residual=res,
-                residual_bound=float(bound),
+                residual_bound=out.bound,
             )
         )
 

@@ -32,8 +32,9 @@ cheap step map from V = x + eta:
 retract() is the only way into a retraction. It checks (x, eta), forms
 V = x + eta and V's residual, rejects a V whose norm or residual overflows
 float64, and hands them to one loop, _iterate, which records the start,
-tests the residual bound, records each step (phase tag, residuals, step
-norm) and raises MaxIterExceeded with the partial result.
+tests the residual bound, records each step (phase tag and residuals)
+and returns the point with its trace and the bound it met, or raises
+MaxIterExceeded with the partial result.
 _iterate is also the one place that retries a step: a step that meets a
 binary row at its sphere's centre (DegenerateRow) runs once more from a
 seeded 1e-12 bump of that row, and any error that escapes carries its
@@ -57,7 +58,7 @@ step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -140,18 +141,13 @@ class RetractionConfig:
 
 @dataclass
 class IterTrace:
-    """Parallel per-iteration records; entry 0 describes the start point."""
+    """Parallel per-iteration records, appended by _iterate: each step's
+    phase tag, combined residual and ||h||. Entry 0 is the start point,
+    tagged "init"."""
 
-    phases: list = field(default_factory=list)
-    combined: list = field(default_factory=list)
-    binary: list = field(default_factory=list)
-    step_norms: list = field(default_factory=list)
-
-    def record(self, phase, combined, binary, step_norm):
-        self.phases.append(str(phase))
-        self.combined.append(float(combined))
-        self.binary.append(float(binary))
-        self.step_norms.append(float(step_norm))
+    phases: list
+    combined: list
+    binary: list
 
     def __len__(self):
         return len(self.phases)
@@ -159,9 +155,13 @@ class IterTrace:
 
 @dataclass(frozen=True)
 class RetractionResult:
+    """The retracted point, its trace and the residual bound _bound(cfg, point)
+    that _iterate last tested it against. A point that missed its bound
+    travels only inside MaxIterExceeded."""
+
     point: np.ndarray
-    converged: bool
     trace: IterTrace
+    bound: float
 
 
 # ---------------------------------------------------------------------------
@@ -438,35 +438,36 @@ def _bound(cfg, y):
     return cfg.tol if cfg.tol_absolute else cfg.tol * (mf.frobenius_norm(y) + 1.0)
 
 
-def _iterate(M, V, res, cfg, advance, init_tag="init", start=None):
+def _iterate(M, V, res, cfg, advance, start=None):
     """The one retraction loop. Records V and returns it if it already meets
     the bound _bound(cfg, V) (a NaN residual never does), else runs
     start(y, res) -> (y, res) once (iteration 0) and then
     advance(y, res) -> (y, res, tag) for iterations 1..cfg.maxiter until the
-    bound holds, each through _attempt. Raises MaxIterExceeded carrying the
-    partial result when the budget runs out.
+    bound holds, each through _attempt. The result carries the bound of the
+    last test. Raises MaxIterExceeded carrying the partial result when the
+    budget runs out.
 
     res is always mf.residual_norms(M, y) = (combined residual, ||h||, h)
     of the current point, computed once per step (by the step's own kernel
     for APM and iAP): the bound test, the trace and the next iAP sweep all
     read it."""
-    trace = IterTrace()
-    trace.record(init_tag, res[0], res[1], 0.0)
+    trace = IterTrace(["init"], [res[0]], [res[1]])
     y, i = V, 0
-    while not res[0] <= _bound(cfg, y):
+    while not res[0] <= (bound := _bound(cfg, y)):
         if i == cfg.maxiter:
             raise MaxIterExceeded(
                 f"retraction ({cfg.kind.value}) missed tol {cfg.tol:g} "
                 f"in {cfg.maxiter} iterations",
-                result=RetractionResult(point=y, converged=False, trace=trace),
+                result=RetractionResult(y, trace, bound),
             )
         if i == 0 and start is not None:
             y, res = _attempt(M, start, y, res, 0)
         i += 1
-        y_new, res, tag = _attempt(M, advance, y, res, i)
-        trace.record(tag, res[0], res[1], mf.frobenius_norm(y_new - y))
-        y = y_new
-    return RetractionResult(point=y, converged=True, trace=trace)
+        y, res, tag = _attempt(M, advance, y, res, i)
+        trace.phases.append(tag)
+        trace.combined.append(res[0])
+        trace.binary.append(res[1])
+    return RetractionResult(y, trace, bound)
 
 
 def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult:
@@ -523,7 +524,7 @@ def retract(M, x, eta, cfg: RetractionConfig, base_res=None) -> RetractionResult
             raise MaxIterExceeded(
                 f"retraction ({tag}): the {method} dual loop settled on a point with "
                 f"residual {err.result.trace.combined[-1]:.3e} against its bound "
-                f"{_bound(cfg, err.result.point):.3e}",
+                f"{err.result.bound:.3e}",
                 result=err.result,
             ) from None
 
@@ -566,7 +567,7 @@ def tapr(M, V, res, cfg: RetractionConfig) -> RetractionResult:
     APM until err < a1, then iAP with a merit-decrease test, then NewtonSLRA
     once err <= a2 or an iAP probe stalls (the _TAPR_* thresholds). Raises
     InitialResidualTooLarge when err > a0 at V. Rejected trials keep the
-    current point (step norm 0), fall back one phase, and still count
+    current point and its residual, fall back one phase, and still count
     against cfg.maxiter."""
     if res[0] > _TAPR_A0:
         raise InitialResidualTooLarge(res[0], _TAPR_A0)
@@ -601,4 +602,4 @@ def tapr(M, V, res, cfg: RetractionConfig) -> RetractionResult:
         phase = "iap"
         return y, res, "newton-reject"
 
-    return _iterate(M, V, res, cfg, advance, init_tag="apm")
+    return _iterate(M, V, res, cfg, advance)

@@ -163,6 +163,21 @@ class TestExitCodes:
             assert cli.run(argv) == 1
             assert capsys.readouterr().err.startswith("usage error: need 0 < --t-min")
 
+    def test_grid_too_short_to_fit(self, tmp_path, capsys):
+        # the slope fit needs 4 points: a shorter grid is refused before the
+        # (missing) file is read, and 4 points pass on to the file
+        out = tmp_path / "o.csv"
+        for points, err in (("2", "usage error: --points must be at least 4"),
+                            ("3", "usage error: --points must be at least 4"),
+                            ("4", "No such file")):
+            argv = [
+                "verify-order", "--instance", str(tmp_path / "nope.dat"), "--kinds", "apm",
+                "--points", points, "--out", str(out),
+            ]
+            assert cli.run(argv) == 1
+            assert err in capsys.readouterr().err, points
+        assert not out.exists()
+
     def test_gen_qkp_bad_density(self, tmp_path, capsys):
         argv = [
             "gen-qkp", "--n", "6", "--density", "1.5", "--seed", "0",

@@ -71,7 +71,8 @@ def test_retraction_commutes_with_the_column_gauge(kind, label, t):
     cfg = config(kind)
     out = sv.retract(M, x, t * eta, cfg)
     out_q = sv.retract(M, x @ Q, t * (eta @ Q), cfg)
-    assert out.converged and out_q.converged
+    assert out.trace.combined[-1] <= out.bound
+    assert out_q.trace.combined[-1] <= out_q.bound
     # equal phase lists: the same steps, in the same number
     assert out_q.trace.phases == out.trace.phases
     want = out.point @ Q
@@ -113,5 +114,5 @@ def test_tapr_never_grows_the_row_space(label):
     G = op.gradient(prob, R0)
     xi = mf.project_tangent(M, R0, -G).xi
     out = sv.retract(M, R0, 1e-2 * xi / np.linalg.norm(xi), config(K.TAPR))
-    assert out.converged
+    assert out.trace.combined[-1] <= out.bound
     assert np.all(out.point[:, KEPT_COLUMNS:] == 0.0)
