@@ -35,7 +35,8 @@ float64, and hands them to one loop, _iterate, which records the start,
 tests the residual bound, records each step (phase tag and residuals)
 and returns the point with its trace and the bound it met, or raises
 MaxIterExceeded with the partial result.
-_iterate is also the one place that retries a step: a step that meets a
+_iterate calls each step policy directly and, only when it raises, hands
+the error to _retry, the one home of the retry rule: a step that meets a
 binary row at its sphere's centre (DegenerateRow) runs once more from a
 seeded 1e-12 bump of that row, and any error that escapes carries its
 iteration. A kind supplies only its step policy: a step map above with the
@@ -52,7 +53,9 @@ checks inside the loop. apm_step and iap_step wrap it and return its pair
 (P, residual_norms(M, P)), so each linear-rate step costs one residual pass,
 whose sphere violations h the next iAP sweep reuses. The policies call the
 wrappers, not mf.sweep, so that a tracer of the step maps sees one span per
-step.
+step. The sweep's row steps add and subtract the manifold's (s, r) tiles of
+e1 and the spheres' centre, and it forms its affine gap and its residual
+pass's sphere violation in its own frames.
 """
 
 from __future__ import annotations
@@ -397,26 +400,34 @@ def metric_project(M, V, method="gwa", tol=1e-9, maxiter=500):
 
 
 def _attempt(M, policy, y, res, iteration):
-    """policy(y, res), y's step at the given iteration. On a degenerate-row
-    failure perturb the offending row by 1e-12 (deterministically seeded)
-    and run the policy once more from that copy, with its own residual.
-    Any error escaping here carries the iteration index."""
+    """policy(y, res), y's step at the given iteration, with _retry's rule
+    applied when the policy raises."""
     try:
         return policy(y, res)
-    except DegenerateRow as first:
+    except IsectError as err:
+        return _retry(M, policy, y, iteration, err)
+
+
+def _retry(M, policy, y, iteration, err):
+    """The one retry rule, for a policy that raised err at y and the given
+    iteration; called only on that raise, from inside its except clause.
+    On a degenerate-row failure perturb the offending row by 1e-12
+    (seeded 7_654_321 + iteration) and run the policy once more from that
+    copy, with its own residual. Any error escaping here carries the
+    iteration index."""
+    if isinstance(err, DegenerateRow):
         rng = np.random.default_rng(7_654_321 + iteration)
         bump = rng.standard_normal(y.shape[1])
         bump *= 1e-12 / np.linalg.norm(bump)
         bumped = y.copy()
-        bumped[first.row] += bump
+        bumped[err.row] += bump
         try:
             return policy(bumped, mf.residual_norms(M, bumped))
         except IsectError as second:
             second.iteration = iteration
             raise
-    except IsectError as err:
-        err.iteration = iteration
-        raise
+    err.iteration = iteration
+    raise err
 
 
 def _validate_base_and_tangent(M, x, eta, base_res=None):
@@ -443,30 +454,37 @@ def _iterate(M, V, res, cfg, advance, start=None):
     the bound _bound(cfg, V) (a NaN residual never does), else runs
     start(y, res) -> (y, res) once (iteration 0) and then
     advance(y, res) -> (y, res, tag) for iterations 1..cfg.maxiter until the
-    bound holds, each through _attempt. The result carries the bound of the
-    last test. Raises MaxIterExceeded carrying the partial result when the
-    budget runs out.
+    bound holds. A step that raises goes to _retry, the degenerate-row
+    retry; a step that returns costs no more than the call itself. The
+    result carries the bound of the last test. Raises MaxIterExceeded
+    carrying the partial result when the budget runs out.
 
     res is always mf.residual_norms(M, y) = (combined residual, ||h||, h)
     of the current point, computed once per step (by the step's own kernel
     for APM and iAP): the bound test, the trace and the next iAP sweep all
     read it."""
     trace = IterTrace(["init"], [res[0]], [res[1]])
+    # bound once per call: the loop runs up to maxiter steps
+    phases, combined, binary = trace.phases.append, trace.combined.append, trace.binary.append
+    maxiter = cfg.maxiter
     y, i = V, 0
     while not res[0] <= (bound := _bound(cfg, y)):
-        if i == cfg.maxiter:
+        if i == maxiter:
             raise MaxIterExceeded(
                 f"retraction ({cfg.kind.value}) missed tol {cfg.tol:g} "
-                f"in {cfg.maxiter} iterations",
+                f"in {maxiter} iterations",
                 result=RetractionResult(y, trace, bound),
             )
         if i == 0 and start is not None:
             y, res = _attempt(M, start, y, res, 0)
         i += 1
-        y, res, tag = _attempt(M, advance, y, res, i)
-        trace.phases.append(tag)
-        trace.combined.append(res[0])
-        trace.binary.append(res[1])
+        try:
+            y, res, tag = advance(y, res)
+        except IsectError as err:
+            y, res, tag = _retry(M, advance, y, i, err)
+        phases(tag)
+        combined(res[0])
+        binary(res[1])
     return RetractionResult(y, trace, bound)
 
 

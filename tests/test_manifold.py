@@ -754,6 +754,16 @@ def test_low_rank_gram_is_the_read_only_product_bit_for_bit():
 def test_manifold_row_constants_are_read_only():
     for M, _ in parity_cases():
         assert M.unit_d.tobytes() == np.ones(M.dims.s).tobytes()
+        # e1 and centre are (s, r) tiles of one row each, -0.0 off column 0
+        # in centre, so a row kernel subtracts them from the binary block
+        # entry by entry
+        e1 = np.zeros(M.dims.r)
+        e1[0] = 1.0
+        centre = np.full(M.dims.r, -0.0)
+        centre[0] = 0.5
+        for tile, row in ((M.e1, e1), (M.centre, centre)):
+            assert tile.shape == (M.dims.s, M.dims.r)
+            assert tile.tobytes() == np.tile(row, (M.dims.s, 1)).tobytes()
         for a in (M.e1, M.centre, M.rhs, M.ones, M.unit_d):
             assert not a.flags.writeable
 

@@ -468,8 +468,11 @@ def einsum_sweep(linearized):
 def linear_rate_pairs():
     """The QKP n=50 lift and a seeded QAP p=8 lift, each with a point x one
     NewtonSLRA retraction off its vertex and the step 0.3 eta along a unit
-    tangent eta at x, then the retract-linear benchmark's own QKP n=50 pair
-    (its default seed 1, which draws from SeedSequence([1, 1])). Yields
+    tangent eta at x, then a third QKP n=50 pair drawn by the benchmark's
+    tangent_pair first from SeedSequence([1, 1]). That is not the
+    retract-linear workload's own pair: the workload draws its QAP p=8
+    instance from that stream before either tangent pair, so its QKP pair
+    takes 1106 sweeps where this one takes 1095. Yields
     (M, x, step, sweeps): sweeps, when not None, is the pinned number of
     APM and iAP sweeps to relative tol 1e-6."""
     rng = np.random.default_rng(1)
@@ -530,12 +533,134 @@ def test_fused_sweep_returns_the_residual_of_its_point():
 def test_sweep_at_a_sphere_centre_raises_with_or_without_h(linearized):
     M, x = coupled_setup()
     V = x.copy()
-    V[1] = M.centre
+    V[1] = M.centre[0]
     h = mf.residual_norms(M, V)[2]
     for given in (None, h):
         with pytest.raises(DegenerateRow) as exc:
             mf.sweep(M, V, linearized, given)
         assert exc.value.row == 1
+
+
+# ---------------------------------------------------------------------------
+# the row tiles and the inlined residual pass against the broadcast rows
+
+
+def use_broadcast_rows(patch):
+    """Rebind, through the monkeypatch context patch, mf.sweep,
+    mf._residual_pass and the three row kernels to their versions written
+    with the (r,) row constants e1 = (1, 0, ..., 0) and
+    centre = (0.5, -0.0, ..., -0.0) broadcast against every binary row, and
+    with the sphere violation and the affine gap taken by their own calls.
+    The package replaced the rows by (s, r) tiles of the same values; each
+    entry sees the same IEEE operation, so every byte must agree."""
+
+    def rows(M):
+        e1 = np.zeros(M.dims.r)
+        e1[0] = 1.0
+        centre = np.full(M.dims.r, -0.0)
+        centre[0] = 0.5
+        return e1, centre
+
+    def residual_pass(M, R):
+        h = mf._sphere_violation(M, M.binary_block(R))
+        E = mf._affine_gap(M, R).ravel()
+        h2 = h.dot(h)
+        return math.sqrt(E.dot(E) + h2), math.sqrt(h2), h
+
+    def normals(M, RB):
+        C = 2.0 * RB
+        C -= rows(M)[0]
+        return C
+
+    def sphere_rows(M, RB):
+        centre = rows(M)[1]
+        D = RB - centre
+        nrm = np.sqrt(mf._row_sq(M, D))
+        if 2.0 * mf._least(nrm) < mf._DEGENERATE_TOL:
+            raise mf._degenerate_row(M, 2.0 * nrm)
+        D *= (0.5 / nrm)[:, None]
+        D += centre
+        return D
+
+    def linearized_rows(M, RB, h=None):
+        D = RB - rows(M)[1]
+        nrm2 = mf._row_sq(M, D)
+        if 2.0 * math.sqrt(mf._least(nrm2)) < mf._DEGENERATE_TOL:
+            raise mf._degenerate_row(M, 2.0 * np.sqrt(nrm2))
+        if h is None:
+            h = mf._sphere_violation(M, RB)
+        D *= (h / (2.0 * nrm2))[:, None]
+        return RB - D
+
+    def sweep(M, R, linearized=False, h=None):
+        RB = M.binary_block(R)
+        P = R.copy()
+        P[M.binary_index] = linearized_rows(M, RB, h) if linearized else sphere_rows(M, RB)
+        P -= M.affine.K.dot(mf._affine_gap(M, P))
+        return P, residual_pass(M, P)
+
+    patch.setattr(mf, "sweep", sweep)
+    patch.setattr(mf, "_residual_pass", residual_pass)
+    patch.setattr(mf, "_normals", normals)
+    patch.setattr(mf, "_sphere_rows", sphere_rows)
+    patch.setattr(mf, "_linearized_rows", linearized_rows)
+
+
+def retraction_bytes(M, x, step, cfg):
+    """retract's point bytes, trace and bound, or the partial result's with
+    the error's type when it raises MaxIterExceeded."""
+    try:
+        out, err = sv.retract(M, x, step, cfg), None
+    except MaxIterExceeded as exc:
+        out, err = exc.result, type(exc)
+    trace = out.trace
+    return out.point.tobytes(), trace.phases, trace.combined, trace.binary, out.bound, err
+
+
+def bytes_oracle_pairs():
+    """(M, x, step) of linear_rate_pairs, then the seeded QAP p=6 and p=8
+    tangent pairs at step 0.3 eta."""
+    for M, x, step, _ in linear_rate_pairs():
+        yield M, x, step
+    for p in (6, 8):
+        M, x, eta = tangent_pair(seeded_qap(p, p), np.random.default_rng(14))
+        yield M, x, 0.3 * eta
+
+
+@pytest.mark.parametrize(
+    "kind", ["apm", "iap", "tapr", "newton-slra", "relaxed-newton-slra", "aphl"]
+)
+def test_row_tiles_keep_every_retraction_byte_of_the_broadcast_rows(monkeypatch, kind):
+    cfg = sv.RetractionConfig(kind=sv.RetractionKind(kind), tol=1e-6, maxiter=5000)
+    for M, x, step in list(bytes_oracle_pairs()):
+        got = retraction_bytes(M, x, step, cfg)
+        with monkeypatch.context() as patch:
+            use_broadcast_rows(patch)
+            want = retraction_bytes(M, x, step, cfg)
+        assert len(got[1]) > 1, (M, kind)
+        assert got == want, (M, kind)
+
+
+def test_row_tiles_keep_the_signed_zeros_of_the_broadcast_rows(monkeypatch):
+    # binary rows cycling through -0.0, +0.0, 0.5 and -0.5: x - (-0.0) and
+    # x - 0.0 differ at x = -0.0, so a centre tile with +0.0 off column 0
+    # changes linearized_project's zeros, and an e1 tile with -0.0 there
+    # changes row_normals'
+    M = seeded_qap(6, 6).manifold
+    rng = np.random.default_rng(3)
+    R = rng.standard_normal((M.dims.N, M.dims.r))
+    pattern = np.array([-0.0, 0.0, 0.5, -0.5])
+    for k, i in enumerate(M.binary_rows):
+        R[i] = np.resize(np.roll(pattern, k), M.dims.r)
+    assert np.any(np.signbit(R[M.binary_rows]) & (R[M.binary_rows] == 0.0))
+    maps = (mf.project_binary, mf.linearized_project, mf.row_normals)
+    got = [f(M, R) for f in maps]
+    with monkeypatch.context() as patch:
+        use_broadcast_rows(patch)
+        want = [f(M, R) for f in maps]
+    for f, g, w in zip(maps, got, want):
+        assert np.array_equal(np.signbit(g), np.signbit(w)), f.__name__
+        assert g.tobytes() == w.tobytes(), f.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -2086,7 +2211,7 @@ def test_sweep_at_a_sphere_centre_retries_once_with_the_seeded_bump(monkeypatch,
     metric = kind == "metric-gwa-newton"
     M, x = coupled_setup()
     eta = np.zeros_like(x)
-    eta[1] = M.centre - x[1]
+    eta[1] = M.centre[0] - x[1]
     V = x + eta
     assert mf.combined_residual(M, V) < 1.0  # inside tapr's start guard
     monkeypatch.setattr(sv, "_validate_base_and_tangent", lambda M, x, eta, base_res: (x, eta))
